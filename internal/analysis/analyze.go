@@ -7,7 +7,9 @@ import (
 
 	"vprof/internal/debuginfo"
 	"vprof/internal/parallel"
+	"vprof/internal/sampler"
 	"vprof/internal/schema"
+	"vprof/internal/sketch"
 )
 
 // ErrNoProfiles is returned when Analyze lacks a normal or buggy profile.
@@ -24,6 +26,10 @@ func Analyze(in Input, p Params) (*Report, error) {
 // classification) checks ctx and drains its workers once it is canceled,
 // returning ctx.Err(). With a never-canceled context the computation — and
 // its output, byte for byte — is identical to Analyze.
+//
+// Run 0 of each side is counted exactly (sketch.CountVars), the other runs
+// only feed the hist-discounter, and the normal runs' cost rankings fold
+// into a Corpus; the shared core then runs on that input.
 func AnalyzeContext(ctx context.Context, in Input, p Params) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -31,66 +37,122 @@ func AnalyzeContext(ctx context.Context, in Input, p Params) (*Report, error) {
 	if len(in.Normal) == 0 || len(in.Buggy) == 0 {
 		return nil, ErrNoProfiles
 	}
-	buggy := in.Buggy[0]
-
-	// Variable-discounter over run 0 of each side.
-	vars, err := analyzeVariables(ctx, p, in)
+	workers := parallel.Workers(p.Workers)
+	profiles := append(append([]*sampler.Profile(nil), in.Normal...), in.Buggy...)
+	nNormal := len(in.Normal)
+	runs, err := parallel.MapCtx(ctx, workers, len(profiles), func(i int) *run {
+		pr := profiles[i]
+		r := &run{interval: pr.Interval, hist: sparseHist(pr.Hist)}
+		if i == 0 || i == nNormal {
+			r.vars = sketch.CountVars(pr)
+		}
+		if i == nNormal && !p.DisableVarCost {
+			r.units = sketch.UnitsByPC(pr.Samples)
+		}
+		return r
+	})
 	if err != nil {
 		return nil, err
 	}
-	attributed := attributeVariables(vars, buggy, in.Debug)
+	var corpus *Corpus
+	if !p.DisableHistDiscounter {
+		ranks, err := costRanks(ctx, workers, runs[:nNormal], in.Debug)
+		if err != nil {
+			return nil, err
+		}
+		corpus = NewCorpus()
+		for _, r := range ranks {
+			corpus.AddRanks(r)
+		}
+	}
+	return diagnose(ctx, p, in.Debug, in.Schema, runs[0], runs[nNormal:], corpus)
+}
 
-	// Raw costs from the buggy profile: max of PC-sample cost and
+// AnalyzeSketches is AnalyzeSketchesContext with a background context.
+func AnalyzeSketches(in SketchInput, p Params) (*Report, error) {
+	return AnalyzeSketchesContext(context.Background(), in, p)
+}
+
+// AnalyzeSketchesContext runs the calibrated diagnosis over sketches: the
+// histograms are read as counted multisets, and the shared core runs on
+// them. The report matches AnalyzeContext bit for bit where sketch buckets
+// are exact, except that AbnormalPCs/Blocks localization is unavailable
+// (sketches keep no ordered PC trail). Cancellation mirrors AnalyzeContext.
+func AnalyzeSketchesContext(ctx context.Context, in SketchInput, p Params) (*Report, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if in.Normal == nil || len(in.Buggy) == 0 {
+		return nil, ErrNoProfiles
+	}
+	corpus := in.Corpus
+	if corpus == nil {
+		corpus = CorpusOfSketches([]*sketch.Profile{in.Normal}, in.Debug)
+	}
+	buggy := make([]*run, len(in.Buggy))
+	for i, s := range in.Buggy {
+		buggy[i] = &run{interval: s.Interval, hist: s.Hist}
+	}
+	buggy[0] = sketchRun(in.Buggy[0])
+	return diagnose(ctx, p, in.Debug, in.Schema, sketchRun(in.Normal), buggy, corpus)
+}
+
+// run is one profiled run in the form the analysis core reads: the sparse
+// PC histogram, the value-sample units per PC, and each variable's exact
+// counts, ascending by key. Runs past run 0 only need the histogram.
+type run struct {
+	interval int64
+	hist     map[int32]int64
+	units    map[int32]int64
+	vars     []sketch.VarCounts
+}
+
+// sketchRun reads a sketch's histograms as counted multisets.
+func sketchRun(s *sketch.Profile) *run {
+	vars := make([]sketch.VarCounts, len(s.Vars))
+	for i := range s.Vars {
+		vars[i] = s.Vars[i].Counts()
+	}
+	return &run{interval: s.Interval, hist: s.Hist, units: s.UnitsByPC, vars: vars}
+}
+
+// diagnose is the analysis core shared by both front ends: the
+// variable-discounter and attribution over normal and buggy run 0, raw
+// costs from buggy run 0, and the hist-discounter of every buggy run against
+// the normal corpus (nil when the hist-discounter is disabled); then the
+// calibrated ranking and the bug-pattern classification. The report is
+// identical for any worker count.
+func diagnose(ctx context.Context, p Params, info *debuginfo.Info, sch *schema.Schema, normal *run, buggyRuns []*run, corpus *Corpus) (*Report, error) {
+	workers := parallel.Workers(p.Workers)
+	buggy := buggyRuns[0]
+	pairs := pairVars(normal.vars, buggy.vars)
+	vars, err := analyzeVariables(ctx, p, sch, pairs)
+	if err != nil {
+		return nil, err
+	}
+	attributed := attributeVariables(pairs, vars, info)
+
+	// Raw costs from the buggy run: max of PC-sample cost and
 	// variable-based cost (paper §5.1).
-	pcCost := pcCostApp(buggy, in.Debug)
+	pcCost := pcCostApp(buggy.hist, buggy.interval, info)
 	varCost := map[string]float64{}
 	if !p.DisableVarCost {
-		for fn, units := range buggy.FuncValueSampleUnits(in.Debug) {
-			f := in.Debug.FuncNamed(fn)
-			if f == nil || f.Library || isSynthetic(fn) {
-				continue
-			}
-			varCost[fn] = float64(units * buggy.Interval)
-		}
+		varCost = varCostApp(buggy.units, buggy.interval, info)
 	}
 
 	// Hist-discounter for functions with no variable verdict.
 	var hist map[string]float64
 	if !p.DisableHistDiscounter {
-		hist, err = histDiscounter(ctx, p, in.Normal, in.Buggy, in.Debug)
+		buggyRanks, err := costRanks(ctx, workers, buggyRuns, info)
 		if err != nil {
+			return nil, err
+		}
+		if hist, err = histDiscounter(ctx, p, corpus, buggyRanks); err != nil {
 			return nil, err
 		}
 	}
 
-	return assemble(ctx, p, in.Debug, costInputs{
-		vars:       vars,
-		attributed: attributed,
-		pcCost:     pcCost,
-		varCost:    varCost,
-		hist:       hist,
-	})
-}
-
-// costInputs bundles the per-side evidence both analysis front ends — full
-// profiles (AnalyzeContext) and sketches (AnalyzeSketchesContext) — hand to
-// the shared ranking back end.
-type costInputs struct {
-	vars       map[string]*VariableReport
-	attributed map[string][]*VariableReport
-	pcCost     map[string]float64
-	varCost    map[string]float64
-	// hist is nil when the hist-discounter is disabled.
-	hist map[string]float64
-}
-
-// assemble is the shared back half of the analysis: build the function
-// universe, attribute costs and discounts per function, sort into the
-// calibrated ranking, and classify bug patterns. Identical for any worker
-// count.
-func assemble(ctx context.Context, p Params, info *debuginfo.Info, in costInputs) (*Report, error) {
-	pcCost, varCost, hist := in.pcCost, in.varCost, in.hist
-	attributed := in.attributed
+	// The function universe: every function with a raw cost.
 	universe := make([]string, 0, len(pcCost)+len(varCost))
 	seen := map[string]bool{}
 	for fn := range pcCost {
@@ -109,8 +171,7 @@ func assemble(ctx context.Context, p Params, info *debuginfo.Info, in costInputs
 	// from here on and each index fills only its own row, so the rows —
 	// and after the deterministic sort, the whole ranking — are identical
 	// for any worker count.
-	workers := parallel.Workers(p.Workers)
-	report := &Report{Params: p, Variables: in.vars}
+	report := &Report{Params: p, Variables: vars}
 	funcs, err := parallel.MapCtx(ctx, workers, len(universe), func(i int) FuncReport {
 		fn := universe[i]
 		fr := FuncReport{

@@ -8,52 +8,35 @@ import (
 	"vprof/internal/parallel"
 	"vprof/internal/sampler"
 	"vprof/internal/schema"
+	"vprof/internal/sketch"
 	"vprof/internal/stats"
 )
 
-// tickSeries collapses a variable's samples to one observation per alarm
-// tick (virtual unwinding can record the same variable several times within
-// one alarm at different stack depths; the variable has a single value at
-// that moment).
-func tickSeries(samples []sampler.Sample) []float64 {
-	var out []float64
-	var lastTick int64 = -1
-	for _, s := range samples {
-		if s.Tick == lastTick {
-			continue
-		}
-		lastTick = s.Tick
-		out = append(out, float64(s.Value))
-	}
-	return out
-}
-
-// dimSeries is one candidate dimension's pair of observation series, fed to
-// the shared selection loop by both analysis front ends (raw profiles in
-// discountVariable, sketches in discountVariableSketch).
-type dimSeries struct {
+// dimCounts is one candidate dimension's pair of counted observations.
+type dimCounts struct {
 	d    Dimension
-	n, b []float64
+	n, b stats.Multiset
 }
 
-// trimDims applies the paper's dimension restrictions: pointer values
-// (addresses) carry no meaning across runs, so only the processing-cost
-// dimension applies (§5.1); DimensionsValueOnly is the ablation switch.
-func trimDims(p Params, isPointer bool, dims []dimSeries) []dimSeries {
-	if isPointer {
-		return dims[2:]
+// discountVariable computes the discount ratio for one variable across the
+// paper's three dimensions and returns the verdict with the minimum raw
+// ratio (raw, not floored — dimension selection compares raw ratios, per the
+// paper's Redis-8668 walkthrough) plus the dimension that produced it.
+// Pointer values (addresses) carry no meaning across runs, so only the
+// processing-cost dimension applies to them (§5.1); DimensionsValueOnly is
+// the ablation switch.
+func discountVariable(p Params, isPointer bool, n, b *sketch.VarCounts) (float64, Dimension, bool) {
+	dims := []dimCounts{
+		{DimValue, n.Values, b.Values},
+		{DimDelta, n.Deltas, b.Deltas},
+		{DimCost, n.Runs, b.Runs},
 	}
-	if p.DimensionsValueOnly {
-		return dims[:1]
+	switch {
+	case isPointer:
+		dims = dims[2:]
+	case p.DimensionsValueOnly:
+		dims = dims[:1]
 	}
-	return dims
-}
-
-// selectDiscount runs discountOneDim over the candidate dimensions and
-// returns the verdict with the minimum raw ratio (raw, not floored —
-// dimension selection compares raw ratios, per the paper's Redis-8668
-// walkthrough) plus the dimension that produced it.
-func selectDiscount(p Params, dims []dimSeries) (float64, Dimension, bool) {
 	best, bestRaw := 1.0, 2.0
 	bestDim := DimNone
 	tested := false
@@ -74,36 +57,26 @@ func selectDiscount(p Params, dims []dimSeries) (float64, Dimension, bool) {
 	return best, bestDim, true
 }
 
-// discountVariable computes the discount ratio for one variable across the
-// paper's three dimensions, returning the minimum and the dimension that
-// produced it.
-func discountVariable(p Params, isPointer bool, normal, buggy []float64) (float64, Dimension, bool) {
-	return selectDiscount(p, trimDims(p, isPointer, []dimSeries{
-		{DimValue, normal, buggy},
-		{DimDelta, stats.ChangeDeltas(normal), stats.ChangeDeltas(buggy)},
-		{DimCost, stats.RunLengths(normal), stats.RunLengths(buggy)},
-	}))
-}
-
 // discountOneDim computes the discount ratio for a single dimension,
 // returning both the floored ratio and the raw ratio before the
 // ValidDiscount floor (dimension selection compares raw ratios, per the
 // paper's Redis-8668 walkthrough: value 0.12 vs cost 0, cost wins). ok is
 // false when there is not enough information in either execution.
-func discountOneDim(p Params, normal, buggy []float64) (ratio, raw float64, ok bool) {
-	nN, nB := len(normal), len(buggy)
+func discountOneDim(p Params, normal, buggy stats.Multiset) (ratio, raw float64, ok bool) {
+	nN, nB := normal.Total(), buggy.Total()
+	minS, oneS := int64(p.MinSamples), int64(p.OneSidedSamples)
 	switch {
 	case nN == 0 && nB == 0:
 		return 1, 1, false
-	case nN < p.MinSamples && nB < p.MinSamples:
+	case nN < minS && nB < minS:
 		// Too little data on both sides: no information.
 		return 1, 1, false
-	case nN < p.MinSamples || nB < p.MinSamples:
+	case nN < minS || nB < minS:
 		// One side has data, the other (almost) none. If the
 		// populated side is substantial this is itself anomalous —
 		// the paper's MDEV-16289 case (0 normal vs 30+ buggy samples
 		// of clust_index gave a zero discount).
-		if nN >= p.OneSidedSamples || nB >= p.OneSidedSamples {
+		if nN >= oneS || nB >= oneS {
 			return 0, 0, true
 		}
 		return p.DefaultDiscount, p.DefaultDiscount, true
@@ -128,12 +101,22 @@ func discountOneDim(p Params, normal, buggy []float64) (ratio, raw float64, ok b
 	return ratio, raw, true
 }
 
+// span returns the smallest and largest value of a counted multiset; ok is
+// false when it is empty.
+func span(m stats.Multiset) (lo, hi float64, ok bool) {
+	if len(m) == 0 {
+		return 0, 0, false
+	}
+	return m[0].V, m[len(m)-1].V, true
+}
+
 // abnormalPCs identifies buggy samples that are anomalous along the given
-// dimension and returns their PCs (with multiplicity), used by the
-// classifier to localize basic blocks.
-func abnormalPCs(dim Dimension, normal []float64, buggy []sampler.Sample) []int {
-	series := tickSeries(buggy)
-	marks := abnormalPositions(dim, normal, series)
+// dimension against the normal run's counts and returns their PCs (with
+// multiplicity), used to localize basic blocks. It needs the buggy run's
+// ordered samples, which only decoded profiles carry: on a sketch there are
+// none and the result is empty.
+func abnormalPCs(dim Dimension, normal *sketch.VarCounts, buggy []sampler.Sample) []int {
+	marks := abnormalPositions(dim, normal, sketch.TickSeries(buggy))
 	if len(marks) == 0 {
 		return nil
 	}
@@ -156,18 +139,18 @@ func abnormalPCs(dim Dimension, normal []float64, buggy []sampler.Sample) []int 
 
 // abnormalPositions marks the indices of buggy per-tick observations that
 // fall outside what the normal execution exhibited.
-func abnormalPositions(dim Dimension, normal, buggy []float64) map[int]bool {
+func abnormalPositions(dim Dimension, normal *sketch.VarCounts, buggy []float64) map[int]bool {
 	marks := map[int]bool{}
 	switch dim {
 	case DimValue, DimNone:
-		lo, hi, ok := stats.MinMax(normal)
+		lo, hi, ok := span(normal.Values)
 		for i, v := range buggy {
 			if !ok || v < lo || v > hi {
 				marks[i] = true
 			}
 		}
 	case DimDelta:
-		lo, hi, ok := stats.MinMax(stats.ChangeDeltas(normal))
+		lo, hi, ok := span(normal.Deltas)
 		last := 0 // index of the last distinct value
 		for i := 1; i < len(buggy); i++ {
 			if buggy[i] == buggy[last] {
@@ -180,7 +163,7 @@ func abnormalPositions(dim Dimension, normal, buggy []float64) map[int]bool {
 			}
 		}
 	case DimCost:
-		_, maxRun, ok := stats.MinMax(stats.RunLengths(normal))
+		maxRun, ok := normal.MaxRun, normal.Count > 0
 		run := 1
 		for i := 1; i < len(buggy); i++ {
 			if buggy[i] == buggy[i-1] {
@@ -199,139 +182,111 @@ func abnormalPositions(dim Dimension, normal, buggy []float64) map[int]bool {
 	return marks
 }
 
-// analyzeVariables runs the variable-discounter over every monitored
-// variable appearing in either profile, returning reports keyed by
-// "func\x00name". Variables are independent, so the per-variable statistics
-// fan out over the worker pool; each index writes only its own report, and
-// the merge below walks the sorted key list, so the result is identical to
-// the sequential computation regardless of the worker count. Cancellation
-// drains the pool and surfaces ctx.Err().
-func analyzeVariables(ctx context.Context, p Params, in Input) (map[string]*VariableReport, error) {
-	normal, buggy := in.Normal[0], in.Buggy[0]
-	keys := map[string]sampler.LayoutEntry{}
-	for _, l := range normal.Layout {
-		keys[l.Func+"\x00"+l.Name] = l
-	}
-	for _, l := range buggy.Layout {
-		keys[l.Func+"\x00"+l.Name] = l
-	}
-	names := make([]string, 0, len(keys))
-	for key := range keys {
-		names = append(names, key)
-	}
-	sort.Strings(names)
+// varPair joins one variable's counts across the two runs; a side where the
+// variable does not appear holds noCounts.
+type varPair struct {
+	key  string
+	n, b *sketch.VarCounts
+}
 
-	// Group each profile's samples by variable once, instead of scanning
-	// the whole sample array per variable (VarSamples is O(samples) per
-	// call, which made the discounter quadratic in practice).
-	nByVar := samplesByVar(normal)
-	bByVar := samplesByVar(buggy)
+var noCounts = &sketch.VarCounts{}
 
-	reports, err := parallel.MapCtx(ctx, parallel.Workers(p.Workers), len(names), func(i int) *VariableReport {
-		key := names[i]
-		l := keys[key]
-		nSeries := tickSeries(nByVar[key])
-		bSamples := bByVar[key]
-		bSeries := tickSeries(bSamples)
-		vr := &VariableReport{
-			Func:        l.Func,
-			Name:        l.Name,
-			IsPointer:   l.IsPointer,
-			NormalCount: len(nSeries),
-			BuggyCount:  len(bSeries),
+// pairVars merge-joins the normal and buggy runs' variables (both ascending
+// by key).
+func pairVars(normal, buggy []sketch.VarCounts) []varPair {
+	out := make([]varPair, 0, len(normal)+len(buggy))
+	i, j := 0, 0
+	for i < len(normal) || j < len(buggy) {
+		var nk, bk string
+		if i < len(normal) {
+			nk = normal[i].Key()
 		}
-		if e := in.Schema.Lookup(l.Func, l.Name); e != nil {
+		if j < len(buggy) {
+			bk = buggy[j].Key()
+		}
+		switch {
+		case j >= len(buggy) || (i < len(normal) && nk < bk):
+			out = append(out, varPair{nk, &normal[i], noCounts})
+			i++
+		case i >= len(normal) || bk < nk:
+			out = append(out, varPair{bk, noCounts, &buggy[j]})
+			j++
+		default:
+			out = append(out, varPair{nk, &normal[i], &buggy[j]})
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+// analyzeVariables runs the variable-discounter over every monitored
+// variable appearing in either run, returning reports keyed by
+// "func\x00name". Variables are independent, so the per-variable statistics
+// fan out over the worker pool; each index writes only its own report, so
+// the result is identical for any worker count. Cancellation drains the pool
+// and surfaces ctx.Err().
+func analyzeVariables(ctx context.Context, p Params, sch *schema.Schema, pairs []varPair) (map[string]*VariableReport, error) {
+	reports, err := parallel.MapCtx(ctx, parallel.Workers(p.Workers), len(pairs), func(i int) *VariableReport {
+		n, b := pairs[i].n, pairs[i].b
+		// The buggy side's identity wins when both runs carry the
+		// variable.
+		id := b
+		if b == noCounts {
+			id = n
+		}
+		vr := &VariableReport{
+			Func:         id.Func,
+			Name:         id.Name,
+			IsPointer:    id.IsPointer,
+			NormalCount:  int(n.Count),
+			BuggyCount:   int(b.Count),
+			MaxRunNormal: n.MaxRun,
+			MaxRunBuggy:  b.MaxRun,
+			RunsBuggy:    int(b.NumRuns),
+		}
+		if e := sch.Lookup(id.Func, id.Name); e != nil {
 			vr.Tags = e.Tags
 		}
-		vr.Discount, vr.Dimension, vr.Tested = discountVariable(p, l.IsPointer, nSeries, bSeries)
-		_, vr.MaxRunNormal, _ = stats.MinMax(stats.RunLengths(nSeries))
-		buggyRuns := stats.RunLengths(bSeries)
-		_, vr.MaxRunBuggy, _ = stats.MinMax(buggyRuns)
-		vr.RunsBuggy = len(buggyRuns)
+		vr.Discount, vr.Dimension, vr.Tested = discountVariable(p, id.IsPointer, n, b)
 		if vr.Tested && vr.Discount < p.DefaultDiscount {
-			vr.AbnormalPCs = abnormalPCs(vr.Dimension, nSeries, bSamples)
+			vr.AbnormalPCs = abnormalPCs(vr.Dimension, n, b.Samples)
 		}
 		return vr
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]*VariableReport, len(names))
-	for i, key := range names {
-		out[key] = reports[i]
+	out := make(map[string]*VariableReport, len(pairs))
+	for i := range pairs {
+		out[pairs[i].key] = reports[i]
 	}
 	return out, nil
 }
 
-// samplesByVar groups a profile's samples by "func\x00name", preserving
-// recording order. Matching VarSamples, duplicate layout entries for the
-// same variable resolve to the first layout index.
-func samplesByVar(pr *sampler.Profile) map[string][]sampler.Sample {
-	first := make(map[string]int32, len(pr.Layout))
-	for i, l := range pr.Layout {
-		key := l.Func + "\x00" + l.Name
-		if _, ok := first[key]; !ok {
-			first[key] = int32(i)
-		}
-	}
-	counts := make([]int, len(pr.Layout))
-	for _, s := range pr.Samples {
-		if s.Layout >= 0 && int(s.Layout) < len(counts) {
-			counts[s.Layout]++
-		}
-	}
-	byLayout := make([][]sampler.Sample, len(pr.Layout))
-	for i, c := range counts {
-		if c > 0 {
-			byLayout[i] = make([]sampler.Sample, 0, c)
-		}
-	}
-	for _, s := range pr.Samples {
-		if s.Layout >= 0 && int(s.Layout) < len(byLayout) {
-			byLayout[s.Layout] = append(byLayout[s.Layout], s)
-		}
-	}
-	out := make(map[string][]sampler.Sample, len(first))
-	for key, i := range first {
-		out[key] = byLayout[i]
-	}
-	return out
-}
-
 // attributeVariables maps variable reports to functions: locals to their
 // declaring function; globals to every function containing a PC at which the
-// global was sampled in the buggy profile (paper §5.1).
-func attributeVariables(vars map[string]*VariableReport, buggy *sampler.Profile, info *debuginfo.Info) map[string][]*VariableReport {
+// global was sampled in the buggy run (paper §5.1).
+func attributeVariables(pairs []varPair, vars map[string]*VariableReport, info *debuginfo.Info) map[string][]*VariableReport {
 	out := map[string][]*VariableReport{}
-	// Globals: find the functions where each global's samples occurred.
-	globalFuncs := map[string]map[string]bool{}
-	layoutKey := make([]string, len(buggy.Layout))
-	for i, l := range buggy.Layout {
-		layoutKey[i] = l.Func + "\x00" + l.Name
-	}
-	for _, s := range buggy.Samples {
-		l := buggy.Layout[s.Layout]
-		if l.Func != debuginfo.GlobalScope {
+	for _, pr := range pairs {
+		vr := vars[pr.key]
+		if vr.Func != debuginfo.GlobalScope {
+			out[vr.Func] = append(out[vr.Func], vr)
 			continue
 		}
-		fn := info.FuncAt(int(s.PC))
-		if fn == nil {
-			continue
+		var fns []string
+		for _, pc := range pr.b.PCs {
+			if fn := info.FuncAt(int(pc)); fn != nil {
+				fns = append(fns, fn.Name)
+			}
 		}
-		key := layoutKey[s.Layout]
-		if globalFuncs[key] == nil {
-			globalFuncs[key] = map[string]bool{}
-		}
-		globalFuncs[key][fn.Name] = true
-	}
-	for key, vr := range vars {
-		if vr.Func == debuginfo.GlobalScope {
-			for fn := range globalFuncs[key] {
+		sort.Strings(fns)
+		for k, fn := range fns {
+			if k == 0 || fn != fns[k-1] {
 				out[fn] = append(out[fn], vr)
 			}
-			continue
 		}
-		out[vr.Func] = append(out[vr.Func], vr)
 	}
 	for _, list := range out {
 		sortAttributed(list)
@@ -340,9 +295,8 @@ func attributeVariables(vars map[string]*VariableReport, buggy *sampler.Profile,
 }
 
 // sortAttributed is the deterministic per-function ordering of attributed
-// variables shared by both analysis front ends: most anomalous first; on
-// ties, tagged variables (more diagnostic signal) and locals before
-// globals, then by name.
+// variables: most anomalous first; on ties, tagged variables (more
+// diagnostic signal) and locals before globals, then by name.
 func sortAttributed(list []*VariableReport) {
 	sort.Slice(list, func(i, j int) bool {
 		a, b := list[i], list[j]

@@ -1,8 +1,11 @@
 package analysis_test
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"vprof/internal/analysis"
@@ -143,14 +146,29 @@ func TestCorpusIncrementalMatchesBatch(t *testing.T) {
 }
 
 // TestSketchFoldPreservesUnits: the sketch's per-PC unit counts reproduce
-// FuncValueSampleUnits exactly, so variable-based raw costs are identical in
-// sketch mode.
+// the per-function count of distinct (alarm, PC) value-sample units on a
+// real profile, so variable-based raw costs are identical in sketch mode.
 func TestSketchFoldPreservesUnits(t *testing.T) {
 	tb := buildBench(t, recoverySrc)
 	prof := tb.profileRuns(t, 1, 90)[0]
 	sk := sketch.FromProfile(prof)
 
-	want := prof.FuncValueSampleUnits(tb.prog.Debug)
+	type unit struct {
+		tick int64
+		pc   int32
+	}
+	seen := map[unit]bool{}
+	want := map[string]int64{}
+	for _, s := range prof.Samples {
+		u := unit{s.Tick, s.PC}
+		if seen[u] {
+			continue
+		}
+		seen[u] = true
+		if fn := tb.prog.Debug.FuncAt(int(s.PC)); fn != nil {
+			want[fn.Name]++
+		}
+	}
 	got := map[string]int64{}
 	for pc, n := range sk.UnitsByPC {
 		if fn := tb.prog.Debug.FuncAt(int(pc)); fn != nil {
@@ -253,5 +271,71 @@ func TestSketchAnalysisDeterministicAcrossWorkers(t *testing.T) {
 		} else if r != base {
 			t.Fatalf("workers=%d renders differently:\n%s\nvs\n%s", p.Workers, r, base)
 		}
+	}
+}
+
+// countedPair builds a synthetic sketch pair over recovery's PC histograms:
+// 24 variables whose three dimension histograms each hold 64 observations
+// times scale, spread over up to 8 buckets.
+func countedPair(tb *testBench, t *testing.T, scale int64) analysis.SketchInput {
+	sk := sketchesOf([]*sampler.Profile{tb.profileRuns(t, 1, 40)[0], tb.profileRuns(t, 1, 90)[0]})
+	rng := rand.New(rand.NewSource(71))
+	hist := func(shift float64) sketch.Hist {
+		h := sketch.Hist{}
+		left := int64(64)
+		for left > 0 {
+			c := 1 + rng.Int63n(left)
+			if len(h) == 7 {
+				c = left
+			}
+			h[float64(rng.Intn(8))+shift] += c * scale
+			left -= c
+		}
+		return h
+	}
+	for side, s := range sk {
+		s.Vars = nil
+		for i := 0; i < 24; i++ {
+			v := sketch.VarSummary{Func: "main", Name: fmt.Sprintf("v%02d", i)}
+			v.Values, v.Deltas, v.Runs = hist(float64(side*i%3)), hist(0), hist(1)
+			v.Count, v.NumRuns = v.Values.Total(), v.Runs.Total()
+			for k := range v.Runs {
+				v.MaxRun = max(v.MaxRun, k)
+			}
+			s.Vars = append(s.Vars, v)
+		}
+	}
+	return analysis.SketchInput{Debug: tb.prog.Debug, Schema: tb.sch, Normal: sk[0], Buggy: sk[1:]}
+}
+
+// TestSketchAnalysisAllocIndependentOfCounts: sketch-mode analysis memory
+// follows the number of buckets, not the observation counts. Scaling every
+// bucket count by 64 (up to 4096 observations per histogram) must not grow
+// the bytes AnalyzeSketches allocates.
+func TestSketchAnalysisAllocIndependentOfCounts(t *testing.T) {
+	tb := buildBench(t, recoverySrc)
+	p := analysis.DefaultParams()
+	p.Workers = 1
+	alloc := func(in analysis.SketchInput) uint64 {
+		if _, err := analysis.AnalyzeSketches(in, p); err != nil { // warm pools and memos
+			t.Fatal(err)
+		}
+		best := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := analysis.AnalyzeSketches(in, p); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	base := alloc(countedPair(tb, t, 1))
+	scaled := alloc(countedPair(tb, t, 64))
+	t.Logf("allocated %d B at 64 observations per histogram, %d B at 4096", base, scaled)
+	if scaled > base+base/8 {
+		t.Fatalf("scaling bucket counts by 64 grew allocation from %d B to %d B", base, scaled)
 	}
 }

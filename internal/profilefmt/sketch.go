@@ -23,7 +23,7 @@ import (
 const MagicSketch = "VPRS"
 
 // maxHistBucketTotal caps the observation total of one decoded bucket
-// histogram, bounding what Expand() can be made to allocate.
+// histogram, bounding the sample sizes the statistics see.
 const maxHistBucketTotal = MaxSamples
 
 // EncodeSketch writes a sketch in canonical form.
@@ -275,14 +275,15 @@ func readPCCounts(r io.Reader, histLen int64) (map[int32]int64, error) {
 // writeBucketHist writes a bucket histogram as ascending (bucket, count)
 // pairs.
 func writeBucketHist(w io.Writer, h sketch.Hist) error {
-	if err := binary.Write(w, binary.LittleEndian, int64(len(h))); err != nil {
+	m := h.Multiset()
+	if err := binary.Write(w, binary.LittleEndian, int64(len(m))); err != nil {
 		return err
 	}
-	for _, k := range h.Keys() {
-		if err := binary.Write(w, binary.LittleEndian, k); err != nil {
+	for _, c := range m {
+		if err := binary.Write(w, binary.LittleEndian, c.V); err != nil {
 			return err
 		}
-		if err := binary.Write(w, binary.LittleEndian, h[k]); err != nil {
+		if err := binary.Write(w, binary.LittleEndian, c.N); err != nil {
 			return err
 		}
 	}

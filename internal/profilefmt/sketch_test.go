@@ -170,7 +170,8 @@ func FuzzSketchDecode(f *testing.F) {
 			return
 		}
 		// Any accepted sketch must be canonical: re-encoding reproduces
-		// the input bytes, and its histograms expand within bounds.
+		// the input bytes, and its histograms convert to counted
+		// multisets of the decoded totals, one entry per bucket.
 		re, err := profilefmt.MarshalSketch(s)
 		if err != nil {
 			t.Fatalf("re-encode of accepted sketch failed: %v", err)
@@ -180,7 +181,9 @@ func FuzzSketchDecode(f *testing.F) {
 		}
 		for i := range s.Vars {
 			for _, h := range []sketch.Hist{s.Vars[i].Values, s.Vars[i].Deltas, s.Vars[i].Runs} {
-				_ = h.Expand()
+				if m := h.Multiset(); len(m) != len(h) || m.Total() != h.Total() {
+					t.Fatalf("multiset of %d buckets/%d observations from %d/%d", len(m), m.Total(), len(h), h.Total())
+				}
 			}
 		}
 	})

@@ -387,30 +387,3 @@ func (pr *Profile) FuncPCCost(info *debuginfo.Info) map[string]int64 {
 	}
 	return out
 }
-
-// FuncValueSampleUnits returns, per function name, the number of value-sample
-// units recorded inside the function: one unit per (alarm, PC) pair with at
-// least one value sample. This is the paper's variable-based execution cost
-// basis — "value samples with distinct PCs" within one alarm count once, but
-// a variable re-sampled at every alarm (e.g. at a call site while a costly
-// callee runs, via virtual unwinding) accrues one unit per alarm, making the
-// caller inherit its callee's cost. Multiply by the interval for the cost.
-func (pr *Profile) FuncValueSampleUnits(info *debuginfo.Info) map[string]int64 {
-	type unit struct {
-		tick int64
-		pc   int32
-	}
-	seen := map[unit]bool{}
-	out := map[string]int64{}
-	for _, s := range pr.Samples {
-		u := unit{s.Tick, s.PC}
-		if seen[u] {
-			continue
-		}
-		seen[u] = true
-		if fn := info.FuncAt(int(s.PC)); fn != nil {
-			out[fn.Name]++
-		}
-	}
-	return out
-}

@@ -8,6 +8,7 @@ import (
 	"vprof/internal/lang"
 	"vprof/internal/sampler"
 	"vprof/internal/schema"
+	"vprof/internal/sketch"
 	"vprof/internal/vm"
 )
 
@@ -123,7 +124,12 @@ func TestVariableBasedCostExceedsPCCost(t *testing.T) {
 	// its own PC sample count.
 	prog, res := buildProfiled(t, callerCalleeSrc, 5)
 	pr := res.Root()
-	units := pr.FuncValueSampleUnits(prog.Debug)
+	units := map[string]int64{}
+	for pc, n := range sketch.UnitsByPC(pr.Samples) {
+		if fn := prog.Debug.FuncAt(int(pc)); fn != nil {
+			units[fn.Name] += n
+		}
+	}
 	if units["scan"] == 0 {
 		t.Fatal("no value-sample units in scan")
 	}

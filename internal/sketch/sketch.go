@@ -8,17 +8,27 @@
 // index-ordered variable lists), so a sharded store can combine partial
 // sketches into one answer.
 //
+// The package also owns the one per-variable fold of a decoded profile:
+// CountVars groups samples by variable, collapses them to one observation
+// per alarm tick and counts the three discounter dimensions as exact
+// counted multisets (VarCounts); UnitsByPC counts value-sample units.
+// FromProfile buckets that fold into a sketch, and the full-profile analysis
+// reads it unbucketed. VarSummary.Counts reads a sketch back in the same
+// form, so internal/analysis runs one pipeline over both.
+//
 // Exactness: bucket boundaries are the identity for integral values with
 // |v| <= 1<<20 — which covers run lengths, change deltas and the value
-// ranges of the reproduced issues — so the analysis kernels in
-// internal/analysis recompute the variable-discounter verdicts bit-for-bit
-// from sketches in that range. Larger magnitudes collapse into logarithmic
-// buckets (16 per octave); there the rank-identity goldens in
-// internal/harness gate the diagnosis instead of byte-for-byte equality.
+// ranges of the reproduced issues — so the analysis recomputes the
+// variable-discounter verdicts bit-for-bit from sketches in that range.
+// Larger magnitudes collapse into logarithmic buckets (16 per octave); there
+// the rank-identity goldens in internal/harness gate the diagnosis instead
+// of byte-for-byte equality.
 package sketch
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"vprof/internal/sampler"
@@ -76,36 +86,21 @@ func (h Hist) Total() int64 {
 	return n
 }
 
-// Max returns the largest bucket representative; ok is false when empty.
-func (h Hist) Max() (v float64, ok bool) {
-	for k := range h {
-		if !ok || k > v {
-			v, ok = k, true
+// Multiset returns the histogram as a counted multiset: bucket
+// representatives ascending, each with its observation count. This is the
+// form the analysis kernels read, so its size follows the number of
+// buckets, never the observation counts.
+func (h Hist) Multiset() stats.Multiset {
+	if len(h) == 0 {
+		return nil
+	}
+	out := make(stats.Multiset, 0, len(h))
+	for k, c := range h {
+		if c > 0 {
+			out = append(out, stats.Count{V: k, N: c})
 		}
 	}
-	return v, ok
-}
-
-// Keys returns the bucket representatives in ascending order.
-func (h Hist) Keys() []float64 {
-	out := make([]float64, 0, len(h))
-	for k := range h {
-		out = append(out, k)
-	}
-	sort.Float64s(out)
-	return out
-}
-
-// Expand reconstructs the bucketed observation multiset as an ascending
-// series (each representative repeated by its count). The analysis kernels
-// feed these to the order-invariant Anderson-Darling and Hellinger tests.
-func (h Hist) Expand() []float64 {
-	out := make([]float64, 0, h.Total())
-	for _, k := range h.Keys() {
-		for i := int64(0); i < h[k]; i++ {
-			out = append(out, k)
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].V < out[j].V })
 	return out
 }
 
@@ -145,6 +140,19 @@ func HistOf(series []float64) Hist {
 	h := make(Hist)
 	for _, v := range series {
 		h.Observe(v)
+	}
+	return h
+}
+
+// bucketCounts buckets a counted multiset into a histogram (nil when
+// empty).
+func bucketCounts(m stats.Multiset) Hist {
+	if len(m) == 0 {
+		return nil
+	}
+	h := make(Hist, len(m))
+	for _, c := range m {
+		h[Bucket(c.V)] += c.N
 	}
 	return h
 }
@@ -258,18 +266,16 @@ type Profile struct {
 
 	// Hist is the sparse PC-sample histogram (zero counts omitted).
 	Hist map[int32]int64
-	// UnitsByPC counts distinct (tick, pc) value-sample units per PC:
-	// summing over a function's PCs reproduces
-	// sampler.Profile.FuncValueSampleUnits exactly.
+	// UnitsByPC counts distinct (tick, pc) value-sample units per PC
+	// (see the UnitsByPC function).
 	UnitsByPC map[int32]int64
 
 	// Vars is sorted ascending by VarSummary.Key.
 	Vars []VarSummary
 }
 
-// FromProfile folds a decoded profile into its sketch. The fold is
-// deterministic: variable grouping, tick collapsing and dimension series
-// mirror the analysis package's per-variable pipeline exactly.
+// FromProfile folds a decoded profile into its sketch: CountVars' exact
+// per-variable counts, bucketed. The fold is deterministic.
 func FromProfile(p *sampler.Profile) *Profile {
 	s := &Profile{
 		Interval:   p.Interval,
@@ -277,28 +283,103 @@ func FromProfile(p *sampler.Profile) *Profile {
 		NumAlarms:  p.NumAlarms,
 		HistLen:    int64(len(p.Hist)),
 		Hist:       make(map[int32]int64),
-		UnitsByPC:  make(map[int32]int64),
+		UnitsByPC:  UnitsByPC(p.Samples),
 	}
 	for pc, n := range p.Hist {
 		if n != 0 {
 			s.Hist[int32(pc)] = n
 		}
 	}
+	vars := CountVars(p)
+	s.Vars = make([]VarSummary, len(vars))
+	for i := range vars {
+		v := &vars[i]
+		s.Vars[i] = VarSummary{
+			Func: v.Func, Name: v.Name, IsPointer: v.IsPointer,
+			Count: v.Count, NumRuns: v.NumRuns, MaxRun: v.MaxRun, Sum: v.Sum,
+			Values: bucketCounts(v.Values),
+			Deltas: bucketCounts(v.Deltas),
+			Runs:   bucketCounts(v.Runs),
+			PCs:    v.PCs,
+		}
+		if n := len(v.Values); n > 0 {
+			s.Vars[i].Min, s.Vars[i].Max = v.Values[0].V, v.Values[n-1].V
+		}
+	}
+	return s
+}
+
+// UnitsByPC counts value-sample units per PC: one unit per distinct
+// (tick, pc) pair, so a variable re-sampled at every alarm (at a call site
+// while a costly callee runs, via virtual unwinding) accrues one unit per
+// alarm there. Summed over a function's PCs and multiplied by the interval,
+// this is the paper's variable-based execution cost. Distinct pairs are
+// found by sorting.
+func UnitsByPC(samples []sampler.Sample) map[int32]int64 {
 	type unit struct {
 		tick int64
 		pc   int32
 	}
-	seen := make(map[unit]bool, len(p.Samples))
-	for _, smp := range p.Samples {
-		u := unit{smp.Tick, smp.PC}
-		if !seen[u] {
-			seen[u] = true
-			s.UnitsByPC[smp.PC]++
+	us := make([]unit, len(samples))
+	for i, smp := range samples {
+		us[i] = unit{smp.Tick, smp.PC}
+	}
+	slices.SortFunc(us, func(a, b unit) int {
+		if c := cmp.Compare(a.tick, b.tick); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pc, b.pc)
+	})
+	out := make(map[int32]int64)
+	for i, u := range us {
+		if i == 0 || u != us[i-1] {
+			out[u.pc]++
 		}
 	}
+	return out
+}
 
-	// Group samples by variable with the analysis package's first-layout-
-	// index dedup, then summarize each group's tick-collapsed series.
+// VarCounts is one variable's observations in exact counted form: the
+// tick-collapsed series' three discounter dimensions as counted multisets,
+// plus its run statistics and sampled PCs. The analysis core reads this
+// form for both decoded profiles (CountVars) and sketches
+// (VarSummary.Counts).
+type VarCounts struct {
+	Func      string
+	Name      string
+	IsPointer bool
+
+	// Samples are the variable's samples in recording order; nil when
+	// converted from a sketch, which keeps no ordered trail.
+	Samples []sampler.Sample
+
+	// Count is the number of tick-collapsed observations, NumRuns the
+	// number of equal-value runs and MaxRun the longest; Sum adds the
+	// observations in time order (the sketch's exact moment).
+	Count   int64
+	NumRuns int64
+	MaxRun  float64
+	Sum     float64
+
+	// Values, Deltas and Runs are the observations, their change deltas
+	// (stats.ChangeDeltas) and their equal-value run lengths
+	// (stats.RunLengths).
+	Values stats.Multiset
+	Deltas stats.Multiset
+	Runs   stats.Multiset
+
+	// PCs are the distinct PCs at which the variable was sampled,
+	// ascending.
+	PCs []int32
+}
+
+// Key returns the variable's identity ("func\x00name").
+func (v *VarCounts) Key() string { return v.Func + "\x00" + v.Name }
+
+// CountVars groups a profile's samples by variable and counts each group,
+// ascending by key. Duplicate layout entries for one variable resolve to the
+// first layout index, and samples stay in recording order.
+func CountVars(p *sampler.Profile) []VarCounts {
 	first := make(map[string]int32, len(p.Layout))
 	order := make([]string, 0, len(p.Layout))
 	for i, l := range p.Layout {
@@ -309,60 +390,90 @@ func FromProfile(p *sampler.Profile) *Profile {
 		}
 	}
 	sort.Strings(order)
+
+	// Bucket samples by layout index in two passes: count, then fill
+	// exactly-sized slices.
+	counts := make([]int, len(p.Layout))
+	for _, smp := range p.Samples {
+		if smp.Layout >= 0 && int(smp.Layout) < len(counts) {
+			counts[smp.Layout]++
+		}
+	}
 	byLayout := make([][]sampler.Sample, len(p.Layout))
+	for i, c := range counts {
+		if c > 0 {
+			byLayout[i] = make([]sampler.Sample, 0, c)
+		}
+	}
 	for _, smp := range p.Samples {
 		if smp.Layout >= 0 && int(smp.Layout) < len(byLayout) {
 			byLayout[smp.Layout] = append(byLayout[smp.Layout], smp)
 		}
 	}
-	s.Vars = make([]VarSummary, 0, len(order))
-	for _, key := range order {
+
+	out := make([]VarCounts, len(order))
+	for i, key := range order {
 		li := first[key]
-		l := p.Layout[li]
-		s.Vars = append(s.Vars, summarizeVar(l, byLayout[li]))
+		out[i] = countVar(p.Layout[li], byLayout[li])
 	}
-	return s
+	return out
 }
 
-// summarizeVar folds one variable's samples (recording order) into its
-// summary.
-func summarizeVar(l sampler.LayoutEntry, samples []sampler.Sample) VarSummary {
-	vs := VarSummary{Func: l.Func, Name: l.Name, IsPointer: l.IsPointer}
+// countVar tick-collapses one variable's samples — one observation per
+// alarm tick, the first sample winning, since virtual unwinding can record
+// a variable several times within one alarm — and counts the dimensions.
+func countVar(l sampler.LayoutEntry, samples []sampler.Sample) VarCounts {
+	v := VarCounts{Func: l.Func, Name: l.Name, IsPointer: l.IsPointer, Samples: samples}
+	series := TickSeries(samples)
+	if len(series) == 0 {
+		return v
+	}
+	v.Count = int64(len(series))
+	for _, x := range series {
+		v.Sum += x
+	}
+	runs := stats.RunLengths(series)
+	v.NumRuns = int64(len(runs))
+	_, v.MaxRun, _ = stats.MinMax(runs)
+	v.Deltas = stats.Tally(stats.ChangeDeltas(series))
+	v.Runs = stats.Tally(runs)
+	v.Values = stats.Tally(series) // sorts series in place; keep last
 
-	// Tick-collapse: one observation per alarm tick (first sample wins),
-	// exactly like the analysis package's tickSeries.
-	var series []float64
-	var lastTick int64 = -1
-	pcSet := map[int32]bool{}
+	pcs := make([]int32, len(samples))
+	for i, smp := range samples {
+		pcs[i] = smp.PC
+	}
+	slices.Sort(pcs)
+	v.PCs = slices.Clone(slices.Compact(pcs)) // sketches keep PCs: drop the spare capacity
+	return v
+}
+
+// TickSeries collapses a variable's samples (recording order) to its value
+// series, one observation per alarm tick.
+func TickSeries(samples []sampler.Sample) []float64 {
+	var out []float64
+	lastTick := int64(-1)
 	for _, smp := range samples {
-		pcSet[smp.PC] = true
 		if smp.Tick == lastTick {
 			continue
 		}
 		lastTick = smp.Tick
-		series = append(series, float64(smp.Value))
+		out = append(out, float64(smp.Value))
 	}
-	vs.Count = int64(len(series))
-	if len(series) > 0 {
-		vs.Min, vs.Max, _ = stats.MinMax(series)
-		for _, v := range series {
-			vs.Sum += v
-		}
+	return out
+}
+
+// Counts returns the summary in the analysis core's counted form; its
+// multisets are the bucketed histograms.
+func (v *VarSummary) Counts() VarCounts {
+	return VarCounts{
+		Func: v.Func, Name: v.Name, IsPointer: v.IsPointer,
+		Count: v.Count, NumRuns: v.NumRuns, MaxRun: v.MaxRun, Sum: v.Sum,
+		Values: v.Values.Multiset(),
+		Deltas: v.Deltas.Multiset(),
+		Runs:   v.Runs.Multiset(),
+		PCs:    v.PCs,
 	}
-	vs.Values = HistOf(series)
-	vs.Deltas = HistOf(stats.ChangeDeltas(series))
-	runs := stats.RunLengths(series)
-	vs.Runs = HistOf(runs)
-	vs.NumRuns = int64(len(runs))
-	_, vs.MaxRun, _ = stats.MinMax(runs)
-	if len(pcSet) > 0 {
-		vs.PCs = make([]int32, 0, len(pcSet))
-		for pc := range pcSet {
-			vs.PCs = append(vs.PCs, pc)
-		}
-		sort.Slice(vs.PCs, func(i, j int) bool { return vs.PCs[i] < vs.PCs[j] })
-	}
-	return vs
 }
 
 // Var returns the summary for a variable key ("func\x00name"), or nil.

@@ -104,37 +104,33 @@ func TestHistMergeAssociativeCommutative(t *testing.T) {
 	}
 }
 
-func TestHistExpandSortedAndComplete(t *testing.T) {
+// TestHistMultisetSortedAndComplete: Multiset lists every bucket once,
+// ascending, with its count; in the exact range it is the counted form of
+// the sorted series.
+func TestHistMultisetSortedAndComplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for i := 0; i < 100; i++ {
 		s := randSeries(rng, rng.Intn(50))
 		h := sketch.HistOf(s)
-		ex := h.Expand()
-		if int64(len(ex)) != h.Total() || len(ex) != len(s) {
-			t.Fatalf("Expand lost observations: %d vs %d", len(ex), len(s))
+		m := h.Multiset()
+		if m.Total() != h.Total() || int(m.Total()) != len(s) || len(m) != len(h) {
+			t.Fatalf("Multiset lost observations: %d vs %d", m.Total(), len(s))
 		}
-		for j := 1; j < len(ex); j++ {
-			if ex[j] < ex[j-1] {
-				t.Fatal("Expand not sorted")
+		for j, c := range m {
+			if h[c.V] != c.N || (j > 0 && !(m[j-1].V < c.V)) {
+				t.Fatalf("Multiset not the ascending bucket counts: %v", m)
 			}
 		}
-		// In the exact range, Expand reproduces the sorted multiset.
 		want := append([]float64(nil), s...)
 		for j := range want {
 			want[j] = sketch.Bucket(want[j])
 		}
-		sortFloats(want)
-		if len(ex) > 0 && !reflect.DeepEqual(ex, want) {
-			t.Fatalf("Expand != sorted bucketed multiset")
+		if !reflect.DeepEqual(m, stats.Tally(want)) {
+			t.Fatalf("Multiset != counted sorted bucketed series")
 		}
 	}
-}
-
-func sortFloats(s []float64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+	if m := sketch.Hist(nil).Multiset(); m != nil {
+		t.Fatalf("empty histogram: %v", m)
 	}
 }
 

@@ -15,7 +15,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -40,99 +39,105 @@ type ADResult struct {
 // (one per variable per dimension, across every workload of a table run) and
 // were allocation-bound; the buffers are pooled and resized in place so the
 // steady state allocates nothing. Pooling only changes where the memory
-// comes from — the arithmetic and its order are untouched, keeping results
-// bit-identical to the original implementation.
+// comes from — the arithmetic and its order are untouched.
 type adScratch struct {
-	pooled []float64
-	sorted []float64
 	zstar  []float64
 	lj, bj []float64
-	n      []int
+	n, cur []int
 }
 
 var adScratchPool = sync.Pool{New: func() any { return new(adScratch) }}
 
 // grow returns buf with length n, reusing its backing array when possible.
-func grow(buf []float64, n int) []float64 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
 
-// ADKSample runs the k-sample Anderson-Darling test on the given samples.
-// It is safe for concurrent use.
-func ADKSample(samples ...[]float64) (ADResult, error) {
+// ADKSample runs the k-sample Anderson-Darling test on the given samples,
+// each a counted multiset. It costs O(k x distinct values), independent of
+// the observation counts, and is safe for concurrent use. Every quantity it
+// sums per distinct value — multiplicities, cumulative counts, midranks — is
+// an integer (or half-integer) count, exact in float64, so the result is
+// bit-identical to the same test run on the expanded observation series.
+func ADKSample(samples ...Multiset) (ADResult, error) {
 	k := len(samples)
 	if k < 2 {
 		return ADResult{}, ErrDegenerate
 	}
 	sc := adScratchPool.Get().(*adScratch)
 	defer adScratchPool.Put(sc)
-	if cap(sc.n) < k {
-		sc.n = make([]int, k)
-	}
-	n := sc.n[:k]
-	N := 0
+	n := grow(sc.n, k)
+	sc.n = n
+	N, D := 0, 0
 	for i, s := range samples {
-		if len(s) == 0 {
+		t := int(s.Total())
+		if t == 0 {
 			return ADResult{}, ErrDegenerate
 		}
-		n[i] = len(s)
-		N += len(s)
+		n[i] = t
+		N += t
+		D += len(s)
 	}
 	if N < 4 {
 		return ADResult{}, ErrDegenerate
 	}
-	pooled := grow(sc.pooled, N)[:0]
-	for _, s := range samples {
-		pooled = append(pooled, s...)
-	}
-	sc.pooled = pooled
-	sort.Float64s(pooled)
-	if pooled[0] == pooled[N-1] {
-		return ADResult{}, ErrDegenerate
-	}
 
-	// Distinct pooled values and their multiplicities.
-	zstar := grow(sc.zstar, N)[:1]
-	zstar[0] = pooled[0]
-	for _, v := range pooled[1:] {
-		if v != zstar[len(zstar)-1] {
-			zstar = append(zstar, v)
+	// Distinct pooled values zstar (a k-way merge of the samples' distinct
+	// values), their pooled multiplicities lj and midrank positions bj.
+	zstar := grow(sc.zstar, D)[:0]
+	lj := grow(sc.lj, D)[:0]
+	bj := grow(sc.bj, D)[:0]
+	cur := grow(sc.cur, k)
+	for i := range cur {
+		cur[i] = 0
+	}
+	below := 0 // pooled observations smaller than the current value
+	for {
+		var v float64
+		found := false
+		for i, s := range samples {
+			if c := cur[i]; c < len(s) && (!found || s[c].V < v) {
+				v, found = s[c].V, true
+			}
 		}
+		if !found {
+			break
+		}
+		m := 0
+		for i, s := range samples {
+			if c := cur[i]; c < len(s) && s[c].V == v {
+				m += int(s[c].N)
+				cur[i]++
+			}
+		}
+		l := float64(m)
+		zstar = append(zstar, v)
+		lj = append(lj, l)
+		bj = append(bj, float64(below)+l/2)
+		below += m
 	}
-	sc.zstar = zstar
-	L := len(zstar)
-
-	searchLeft := func(s []float64, v float64) int {
-		return sort.SearchFloat64s(s, v)
-	}
-	searchRight := func(s []float64, v float64) int {
-		return sort.Search(len(s), func(i int) bool { return s[i] > v })
-	}
-
-	lj := grow(sc.lj, L) // multiplicity of zstar[j] in pooled
-	bj := grow(sc.bj, L) // midrank position
-	sc.lj, sc.bj = lj, bj
-	for j, v := range zstar {
-		l := searchLeft(pooled, v)
-		r := searchRight(pooled, v)
-		lj[j] = float64(r - l)
-		bj[j] = float64(l) + lj[j]/2
+	sc.zstar, sc.lj, sc.bj, sc.cur = zstar, lj, bj, cur
+	if len(zstar) == 1 {
+		return ADResult{}, ErrDegenerate
 	}
 
 	fN := float64(N)
 	var a2akN float64
-	for i := 0; i < k; i++ {
-		s := append(grow(sc.sorted, len(samples[i]))[:0], samples[i]...)
-		sc.sorted = s
-		sort.Float64s(s)
+	for i, s := range samples {
 		var inner float64
+		c, right := 0, 0 // right: observations of s that are <= zstar[j]
 		for j, v := range zstar {
-			right := float64(searchRight(s, v))
-			fij := right - float64(searchLeft(s, v))
-			mij := right - fij/2
+			f := 0
+			if c < len(s) && s[c].V == v {
+				f = int(s[c].N)
+				c++
+			}
+			right += f
+			fij := float64(f)
+			mij := float64(right) - fij/2
 			denom := bj[j]*(fN-bj[j]) - fN*lj[j]/4
 			if denom <= 0 {
 				continue

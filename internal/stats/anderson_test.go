@@ -10,7 +10,7 @@ import (
 func TestADIdenticalSamples(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	b := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	r, err := ADKSample(a, b)
+	r, err := adSlices(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestADSameDistribution(t *testing.T) {
 		a[i] = rng.NormFloat64()
 		b[i] = rng.NormFloat64()
 	}
-	r, err := ADKSample(a, b)
+	r, err := adSlices(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestADDifferentDistributions(t *testing.T) {
 		a[i] = rng.NormFloat64()         // normal(0,1)
 		b[i] = rng.Float64()*20.0 - 10.0 // uniform(-10,10)
 	}
-	r, err := ADKSample(a, b)
+	r, err := adSlices(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestADMeanShiftDetected(t *testing.T) {
 		a[i] = rng.NormFloat64()
 		b[i] = rng.NormFloat64() + 8 // far-separated means
 	}
-	r, err := ADKSample(a, b)
+	r, err := adSlices(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func TestADThreeSamples(t *testing.T) {
 		}
 		return s
 	}
-	same, err := ADKSample(mk(0), mk(0), mk(0))
+	same, err := adSlices(mk(0), mk(0), mk(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff, err := ADKSample(mk(0), mk(0), mk(6))
+	diff, err := adSlices(mk(0), mk(0), mk(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestADWithHeavyTies(t *testing.T) {
 	// Induction-variable style samples: small integer values, many ties.
 	a := []float64{3, 6, 6, 6, 6, 9, 3, 6, 6, 6, 6, 9}
 	b := []float64{3, 6, 8, 3, 6, 8, 3, 6, 8, 3, 6, 8}
-	r, err := ADKSample(a, b)
+	r, err := adSlices(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestADDegenerateInputs(t *testing.T) {
 		{{1}, {1}},       // too few observations
 	}
 	for i, c := range cases {
-		if _, err := ADKSample(c...); err == nil {
+		if _, err := adSlices(c...); err == nil {
 			t.Errorf("case %d: expected ErrDegenerate", i)
 		}
 	}
@@ -129,11 +129,11 @@ func TestADDegenerateInputs(t *testing.T) {
 func TestADOrderInvariance(t *testing.T) {
 	a := []float64{5, 1, 4, 2, 8, 9, 7, 7, 3}
 	b := []float64{10, 2, 2, 6, 4, 12, 11, 3, 5}
-	r1, err := ADKSample(a, b)
+	r1, err := adSlices(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := ADKSample(b, a)
+	r2, err := adSlices(b, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +154,14 @@ func TestADMonotoneInvarianceQuick(t *testing.T) {
 			a[i] = float64(rng.Intn(15))
 			b[i] = float64(rng.Intn(15) + rng.Intn(3))
 		}
-		r1, err1 := ADKSample(a, b)
+		r1, err1 := adSlices(a, b)
 		ta := make([]float64, n)
 		tb := make([]float64, n)
 		for i := range a {
 			ta[i] = math.Exp(a[i] / 3)
 			tb[i] = math.Exp(b[i] / 3)
 		}
-		r2, err2 := ADKSample(ta, tb)
+		r2, err2 := adSlices(ta, tb)
 		if (err1 == nil) != (err2 == nil) {
 			return false
 		}

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -10,38 +9,37 @@ import (
 // distinct values to compare value-by-value.
 const DefaultHellingerBins = 32
 
-// hellScratch pools the working buffers of HellingerBins: two sorted copies
-// of the inputs, the distinct-value list and the two PMFs. The kernel is
-// called once per (variable, dimension) across every workload and was
-// allocation-bound; pooling removes the steady-state allocations without
-// touching the arithmetic (counts are exact integers in float64, so the
-// counting order cannot change a result bit).
+// hellScratch pools the two PMF buffers of HellingerBins. The kernel is
+// called once per (variable, dimension) across every workload; pooling
+// removes the steady-state allocations without touching the arithmetic.
 type hellScratch struct {
-	a, b     []float64
-	distinct []float64
-	pa, pb   []float64
+	pa, pb []float64
 }
 
 var hellScratchPool = sync.Pool{New: func() any { return new(hellScratch) }}
 
 // Hellinger returns the Hellinger distance between the empirical
-// distributions of two samples, in [0, 1]. 0 means identical distributions,
-// 1 means disjoint support. It is safe for concurrent use.
+// distributions of two samples, given as counted multisets, in [0, 1]. 0
+// means identical distributions, 1 means disjoint support. It is safe for
+// concurrent use.
 //
 // The samples are discretized onto a common set of bins: exact values when
 // the combined number of distinct values is small, equal-width bins over the
 // combined range otherwise. An empty sample is treated as disjoint from a
 // non-empty one (distance 1); two empty samples have distance 0.
-func Hellinger(a, b []float64) float64 {
+func Hellinger(a, b Multiset) float64 {
 	return HellingerBins(a, b, DefaultHellingerBins)
 }
 
-// HellingerBins is Hellinger with an explicit bin budget (minimum 2).
-func HellingerBins(a, b []float64, bins int) float64 {
+// HellingerBins is Hellinger with an explicit bin budget (minimum 2). Bin
+// masses are sums of integer counts, exact in float64, so the distance is
+// bit-identical to the one computed over the expanded observation series.
+func HellingerBins(a, b Multiset, bins int) float64 {
+	na, nb := a.Total(), b.Total()
 	switch {
-	case len(a) == 0 && len(b) == 0:
+	case na == 0 && nb == 0:
 		return 0
-	case len(a) == 0 || len(b) == 0:
+	case na == 0 || nb == 0:
 		return 1
 	}
 	if bins < 2 {
@@ -50,23 +48,22 @@ func HellingerBins(a, b []float64, bins int) float64 {
 
 	sc := hellScratchPool.Get().(*hellScratch)
 	defer hellScratchPool.Put(sc)
-	sa := append(grow(sc.a, len(a))[:0], a...)
-	sb := append(grow(sc.b, len(b))[:0], b...)
-	sc.a, sc.b = sa, sb
-	sort.Float64s(sa)
-	sort.Float64s(sb)
-
-	distinct := mergeDistinct(sa, sb, grow(sc.distinct, len(a)+len(b))[:0])
-	sc.distinct = distinct
-
-	var pa, pb []float64
-	if len(distinct) <= bins {
-		pa = sortedPMF(sa, distinct, grow(sc.pa, len(distinct)))
-		pb = sortedPMF(sb, distinct, grow(sc.pb, len(distinct)))
+	pa := grow(sc.pa, len(a)+len(b))
+	pb := grow(sc.pb, len(a)+len(b))
+	if d := exactCounts(a, b, pa, pb); d <= bins {
+		pa, pb = pa[:d], pb[:d]
+		normalize(pa, na)
+		normalize(pb, nb)
 	} else {
-		lo, hi := distinct[0], distinct[len(distinct)-1]
-		pa = binnedPMF(sa, lo, hi, bins, grow(sc.pa, bins))
-		pb = binnedPMF(sb, lo, hi, bins, grow(sc.pb, bins))
+		lo, hi := a[0].V, a[len(a)-1].V
+		if b[0].V < lo {
+			lo = b[0].V
+		}
+		if b[len(b)-1].V > hi {
+			hi = b[len(b)-1].V
+		}
+		pa = binnedPMF(a, na, lo, hi, bins, pa[:bins])
+		pb = binnedPMF(b, nb, lo, hi, bins, pb[:bins])
 	}
 	sc.pa, sc.pb = pa, pb
 
@@ -81,48 +78,31 @@ func HellingerBins(a, b []float64, bins int) float64 {
 	return math.Sqrt(1 - bc)
 }
 
-// mergeDistinct appends the sorted distinct union of two sorted slices to
-// out.
-func mergeDistinct(sa, sb, out []float64) []float64 {
-	i, j := 0, 0
-	for i < len(sa) || j < len(sb) {
-		var v float64
+// exactCounts writes the counts of a and b over their distinct union, in
+// ascending value order, into pa and pb and returns the union's size.
+func exactCounts(a, b Multiset, pa, pb []float64) int {
+	i, j, d := 0, 0, 0
+	for ; i < len(a) || j < len(b); d++ {
+		pa[d], pb[d] = 0, 0
 		switch {
-		case j >= len(sb) || (i < len(sa) && sa[i] <= sb[j]):
-			v = sa[i]
+		case j >= len(b) || (i < len(a) && a[i].V < b[j].V):
+			pa[d] = float64(a[i].N)
 			i++
+		case i >= len(a) || b[j].V < a[i].V:
+			pb[d] = float64(b[j].N)
+			j++
 		default:
-			v = sb[j]
+			pa[d], pb[d] = float64(a[i].N), float64(b[j].N)
+			i++
 			j++
 		}
-		if len(out) == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
 	}
-	return out
+	return d
 }
 
-// sortedPMF computes the empirical PMF of a sorted sample over the distinct
-// support in one merged walk (the sample's values are a subset of distinct).
-func sortedPMF(s, distinct, p []float64) []float64 {
-	for i := range p {
-		p[i] = 0
-	}
-	d := 0
-	for _, v := range s {
-		for distinct[d] != v {
-			d++
-		}
-		p[d]++
-	}
-	inv := float64(len(s))
-	for i := range p {
-		p[i] /= inv
-	}
-	return p
-}
-
-func binnedPMF(s []float64, lo, hi float64, bins int, p []float64) []float64 {
+// binnedPMF writes the PMF of s (n observations) over bins equal-width bins
+// spanning [lo, hi] into p.
+func binnedPMF(s Multiset, n int64, lo, hi float64, bins int, p []float64) []float64 {
 	for i := range p {
 		p[i] = 0
 	}
@@ -131,18 +111,24 @@ func binnedPMF(s []float64, lo, hi float64, bins int, p []float64) []float64 {
 		p[0] = 1
 		return p
 	}
-	for _, v := range s {
-		i := int((v - lo) / width)
+	for _, c := range s {
+		i := int((c.V - lo) / width)
 		if i >= bins {
 			i = bins - 1
 		}
 		if i < 0 {
 			i = 0
 		}
-		p[i]++
+		p[i] += float64(c.N)
 	}
-	for i := range p {
-		p[i] /= float64(len(s))
-	}
+	normalize(p, n)
 	return p
+}
+
+// normalize divides the counts in p by the sample size n.
+func normalize(p []float64, n int64) {
+	fn := float64(n)
+	for i := range p {
+		p[i] /= fn
+	}
 }

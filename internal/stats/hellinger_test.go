@@ -9,24 +9,24 @@ import (
 
 func TestHellingerIdentical(t *testing.T) {
 	a := []float64{1, 2, 2, 3, 3, 3}
-	if d := Hellinger(a, a); d > 1e-9 {
-		t.Errorf("Hellinger(a,a) = %v, want 0", d)
+	if d := hellSlices(a, a); d > 1e-9 {
+		t.Errorf("hellSlices(a,a) = %v, want 0", d)
 	}
 }
 
 func TestHellingerDisjoint(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{100, 200, 300}
-	if d := Hellinger(a, b); math.Abs(d-1) > 1e-9 {
+	if d := hellSlices(a, b); math.Abs(d-1) > 1e-9 {
 		t.Errorf("disjoint distance = %v, want 1", d)
 	}
 }
 
 func TestHellingerEmpty(t *testing.T) {
-	if d := Hellinger(nil, nil); d != 0 {
+	if d := hellSlices(nil, nil); d != 0 {
 		t.Errorf("both empty: %v, want 0", d)
 	}
-	if d := Hellinger(nil, []float64{1}); d != 1 {
+	if d := hellSlices(nil, []float64{1}); d != 1 {
 		t.Errorf("one empty: %v, want 1", d)
 	}
 }
@@ -34,7 +34,7 @@ func TestHellingerEmpty(t *testing.T) {
 func TestHellingerPartialOverlap(t *testing.T) {
 	a := []float64{1, 1, 2, 2}
 	b := []float64{2, 2, 3, 3}
-	d := Hellinger(a, b)
+	d := hellSlices(a, b)
 	if d <= 0.1 || d >= 0.95 {
 		t.Errorf("partial overlap distance = %v, want intermediate", d)
 	}
@@ -49,13 +49,13 @@ func TestHellingerBinnedLargeRange(t *testing.T) {
 		a[i] = rng.NormFloat64() * 100
 		b[i] = rng.NormFloat64() * 100
 	}
-	if d := Hellinger(a, b); d > 0.35 {
+	if d := hellSlices(a, b); d > 0.35 {
 		t.Errorf("same-distribution binned distance = %v, want small", d)
 	}
 	for i := range b {
 		b[i] += 1000
 	}
-	if d := Hellinger(a, b); d < 0.95 {
+	if d := hellSlices(a, b); d < 0.95 {
 		t.Errorf("shifted binned distance = %v, want ~1", d)
 	}
 }
@@ -74,8 +74,8 @@ func TestHellingerPropertiesQuick(t *testing.T) {
 		for i := range b {
 			b[i] = float64(rng.Intn(20) - 10)
 		}
-		d1 := Hellinger(a, b)
-		d2 := Hellinger(b, a)
+		d1 := hellSlices(a, b)
+		d2 := hellSlices(b, a)
 		return d1 >= 0 && d1 <= 1 && math.Abs(d1-d2) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

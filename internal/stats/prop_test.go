@@ -30,7 +30,7 @@ func TestADNominalRejectionRate(t *testing.T) {
 			a[i] = float64(rng.Intn(25))
 			b[i] = float64(rng.Intn(25))
 		}
-		res, err := ADKSample(a, b)
+		res, err := adSlices(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -60,7 +60,7 @@ func TestADDetectsShiftedDistribution(t *testing.T) {
 			a[i] = float64(rng.Intn(25))
 			b[i] = float64(rng.Intn(25) + 18)
 		}
-		res, err := ADKSample(a, b)
+		res, err := adSlices(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -87,8 +87,8 @@ func clampSample(raw []int16) []float64 {
 func TestHellingerPropertyRangeAndSymmetry(t *testing.T) {
 	prop := func(ra, rb []int16) bool {
 		a, b := clampSample(ra), clampSample(rb)
-		d1 := Hellinger(a, b)
-		d2 := Hellinger(b, a)
+		d1 := hellSlices(a, b)
+		d2 := hellSlices(b, a)
 		if math.Abs(d1-d2) > 1e-12 {
 			t.Logf("asymmetric: %v vs %v", d1, d2)
 			return false
@@ -107,7 +107,7 @@ func TestHellingerPropertyRangeAndSymmetry(t *testing.T) {
 func TestHellingerPropertyIdenticalIsZero(t *testing.T) {
 	prop := func(ra []int16) bool {
 		a := clampSample(ra)
-		d := Hellinger(a, a)
+		d := hellSlices(a, a)
 		// Identical samples have identical PMFs; sqrt(p*p) can land an ulp
 		// off p, so BC sums to 1 within a few ulps and the distance to 0
 		// within sqrt of that.
@@ -131,7 +131,7 @@ func TestHellingerPropertyDisjointIsOne(t *testing.T) {
 		for i, v := range rb {
 			b[i] = float64(v%32) * 2 // even support
 		}
-		d := HellingerBins(a, b, 1<<20) // exact path: supports never share a bin
+		d := HellingerBins(ms(a), ms(b), 1<<20) // exact path: supports never share a bin
 		return math.Abs(d-1) < 1e-12
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(13))}); err != nil {
@@ -196,7 +196,7 @@ func TestADKSampleConcurrentPooledScratch(t *testing.T) {
 			b[j] = float64(rng.Intn(40))
 		}
 		cases[i] = c{a, b}
-		res, err := ADKSample(a, b)
+		res, err := adSlices(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestADKSampleConcurrentPooledScratch(t *testing.T) {
 		go func() {
 			for rep := 0; rep < 20; rep++ {
 				for i, tc := range cases {
-					res, err := ADKSample(tc.a, tc.b)
+					res, err := adSlices(tc.a, tc.b)
 					if err != nil {
 						done <- err
 						return
@@ -216,7 +216,7 @@ func TestADKSampleConcurrentPooledScratch(t *testing.T) {
 						done <- errMismatch
 						return
 					}
-					if d := Hellinger(tc.a, tc.b); d < 0 || d > 1 {
+					if d := hellSlices(tc.a, tc.b); d < 0 || d > 1 {
 						done <- errMismatch
 						return
 					}

@@ -2,6 +2,49 @@ package stats
 
 import "sort"
 
+// Count is one distinct value of a counted multiset and its multiplicity.
+type Count struct {
+	V float64
+	N int64
+}
+
+// Multiset is a counted multiset: distinct values in ascending order, each
+// with a positive count. ADKSample and Hellinger take samples in this form,
+// so their cost follows the number of distinct values, not of observations.
+type Multiset []Count
+
+// Total returns the number of observations.
+func (m Multiset) Total() int64 {
+	var n int64
+	for _, c := range m {
+		n += c.N
+	}
+	return n
+}
+
+// Tally sorts s in place and returns its counted multiset (nil when s is
+// empty).
+func Tally(s []float64) Multiset {
+	if len(s) == 0 {
+		return nil
+	}
+	sort.Float64s(s)
+	d := 1
+	for i := 1; i < len(s); i++ {
+		if s[i] != s[i-1] {
+			d++
+		}
+	}
+	out := make(Multiset, 0, d)
+	for i, v := range s {
+		if i == 0 || v != s[i-1] {
+			out = append(out, Count{V: v})
+		}
+		out[len(out)-1].N++
+	}
+	return out
+}
+
 // Deltas returns successive differences s[i+1]-s[i] of a time-ordered sample
 // series.
 func Deltas(s []float64) []float64 {
