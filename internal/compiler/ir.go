@@ -18,6 +18,7 @@ package compiler
 
 import (
 	"fmt"
+	"sync"
 
 	"vprof/internal/debuginfo"
 	"vprof/internal/lang"
@@ -207,6 +208,20 @@ type Program struct {
 
 	funcIndex   map[string]int
 	globalIndex map[string]int
+
+	// lowerOnce guards the register lowering that Lowered builds on first
+	// use and keeps for the Program's lifetime.
+	lowerOnce sync.Once
+	lowered   *RegProgram
+	lowerErr  error
+}
+
+// Lowered returns the program's register-IR lowering (CompileRegister),
+// built on the first call and shared by every later one. The lowering is
+// owned by the Program, so it is collected with it.
+func (p *Program) Lowered() (*RegProgram, error) {
+	p.lowerOnce.Do(func() { p.lowered, p.lowerErr = CompileRegister(p) })
+	return p.lowered, p.lowerErr
 }
 
 // FuncNamed returns the function with the given name, or nil.

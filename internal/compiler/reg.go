@@ -1,14 +1,15 @@
 package compiler
 
-// Register-based IR: a second, faster encoding of a compiled Program,
-// produced by CompileRegister and executed by the vm package's register
-// engine. The stack-machine IR (Instrs) stays the source of truth for
-// debug info, static analysis, and the tree-walking engine; this file
-// lowers it to register operations with superinstruction fusion while
-// preserving the tick-for-tick observable semantics the tree walker
+// Register-based IR: the encoding of a compiled Program that the vm
+// package executes, produced by CompileRegister (Program.Lowered caches
+// it). The stack-machine IR (Instrs) stays the source of truth for debug
+// info, static analysis, and the vm package's test-only tree walker; this
+// file lowers it to register operations with superinstruction fusion
+// while preserving the tick-for-tick observable semantics the tree walker
 // defines.
 //
-// The determinism contract both engines satisfy (see DESIGN.md §11):
+// The determinism contract the register engine satisfies, with the tree
+// walker as its reference (see DESIGN.md §11):
 //
 //   - Every stack instruction costs exactly one tick (OpCall two), charged
 //     in program order, with budget prechecks at each instruction start.

@@ -7,6 +7,7 @@ package compiler_test
 // equivalence is enforced separately by internal/vm's differential suite.
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -198,5 +199,27 @@ func TestRegisterDisasm(t *testing.T) {
 		if !strings.Contains(d, want) {
 			t.Errorf("Disasm missing %q:\n%s", want, d)
 		}
+	}
+}
+
+// TestLoweredOnce pins the Program-owned lowering: the first call builds
+// exactly what CompileRegister builds, and every later call returns that
+// same lowering.
+func TestLoweredOnce(t *testing.T) {
+	p := compileSrc(t, `func main() { var i = 0; while (i < 3) { out(i); i++; } }`)
+	rp, err := p.Lowered()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := p.Lowered()
+	if err != nil || again != rp {
+		t.Fatalf("second Lowered() = %p, %v; want %p, nil", again, err, rp)
+	}
+	want, err := compiler.CompileRegister(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rp, want) {
+		t.Error("Lowered() differs from CompileRegister")
 	}
 }

@@ -23,6 +23,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // one sketch-mode report dump per reproduced issue.
 var analysisGoldenDir = filepath.Join("..", "..", "testdata", "golden", "analysis")
 
+// paperGoldenDir holds the absolute goldens of the rendered paper
+// artifacts: Tables 3/4/5, Figure 8 and the causal-validation table.
+var paperGoldenDir = filepath.Join("..", "..", "testdata", "golden", "paper")
+
 // TestAnalysisGolden pins every field of the full-profile and the sketch
 // analysis reports of all 18 reproduced issues (b1-b15, u1-u3), floats by
 // their exact bits. Unlike TestSketchRankIdentity, which compares the two
@@ -50,7 +54,7 @@ func TestAnalysisGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkGolden(t, w.ID+".full.txt", dumpReport(full))
+			checkGolden(t, analysisGoldenDir, w.ID+".full.txt", dumpReport(full))
 
 			fold := func(ps []*sampler.Profile) []*sketch.Profile {
 				out := make([]*sketch.Profile, len(ps))
@@ -70,18 +74,18 @@ func TestAnalysisGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkGolden(t, w.ID+".sketch.txt", dumpReport(sk))
+			checkGolden(t, analysisGoldenDir, w.ID+".sketch.txt", dumpReport(sk))
 		})
 	}
 }
 
-// checkGolden compares got with the named file under analysisGoldenDir, or
-// rewrites the file under -update.
-func checkGolden(t *testing.T, name, got string) {
+// checkGolden compares got with the named file under dir, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, dir, name, got string) {
 	t.Helper()
-	path := filepath.Join(analysisGoldenDir, name)
+	path := filepath.Join(dir, name)
 	if *update {
-		if err := os.MkdirAll(analysisGoldenDir, 0o755); err != nil {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {

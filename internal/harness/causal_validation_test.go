@@ -65,6 +65,8 @@ func TestCausalValidationDeterminism(t *testing.T) {
 	if t1 != t8 {
 		t.Fatal("workers=1 vs workers=8 tables differ")
 	}
+	checkGolden(t, paperGoldenDir, "causal.txt", t1)
+	checkGolden(t, paperGoldenDir, "causal.txt", t8)
 	t8b, _, err := harness.CausalValidationWorkers(8)
 	if err != nil {
 		t.Fatal(err)

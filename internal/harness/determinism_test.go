@@ -12,6 +12,11 @@ import (
 // sequential (workers=1) rendering. These are the golden determinism tests
 // for the worker-pool fan-out in table3.go / table45.go and the parallel
 // discounter underneath them.
+//
+// Each test also checks both renderings against an absolute golden under
+// testdata/golden/paper (re-bless with -update only on purpose), so a
+// change that moves the paper's artifacts fails even when it moves them the
+// same way at every worker count.
 
 func TestTable3DeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
@@ -31,6 +36,8 @@ func TestTable3DeterministicAcrossWorkers(t *testing.T) {
 	if !reflect.DeepEqual(seqRows, parRows) {
 		t.Errorf("Table 3 rows differ:\nworkers=1: %+v\nworkers=8: %+v", seqRows, parRows)
 	}
+	checkGolden(t, paperGoldenDir, "table3.txt", seqText)
+	checkGolden(t, paperGoldenDir, "table3.txt", parText)
 }
 
 func TestTable4DeterministicAcrossWorkers(t *testing.T) {
@@ -48,6 +55,8 @@ func TestTable4DeterministicAcrossWorkers(t *testing.T) {
 	if got, want := harness.RenderTable4(par), harness.RenderTable4(seq); got != want {
 		t.Errorf("Table 4 differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", want, got)
 	}
+	checkGolden(t, paperGoldenDir, "table4.txt", harness.RenderTable4(seq))
+	checkGolden(t, paperGoldenDir, "table4.txt", harness.RenderTable4(par))
 }
 
 func TestTable5DeterministicAcrossWorkers(t *testing.T) {
@@ -76,6 +85,8 @@ func TestTable5DeterministicAcrossWorkers(t *testing.T) {
 	if got, want := harness.RenderTable5(mask(par)), harness.RenderTable5(mask(seq)); got != want {
 		t.Errorf("Table 5 (timings masked) differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", want, got)
 	}
+	checkGolden(t, paperGoldenDir, "table5.txt", harness.RenderTable5(mask(seq)))
+	checkGolden(t, paperGoldenDir, "table5.txt", harness.RenderTable5(mask(par)))
 }
 
 func TestFigure8DeterministicAcrossWorkers(t *testing.T) {
@@ -93,4 +104,6 @@ func TestFigure8DeterministicAcrossWorkers(t *testing.T) {
 	if got, want := harness.RenderFigure8(par), harness.RenderFigure8(seq); got != want {
 		t.Errorf("Figure 8 differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", want, got)
 	}
+	checkGolden(t, paperGoldenDir, "figure8.txt", harness.RenderFigure8(seq))
+	checkGolden(t, paperGoldenDir, "figure8.txt", harness.RenderFigure8(par))
 }

@@ -261,6 +261,31 @@ func main() {
 	}
 }
 
+// TestMergeProfilesPresized pins that a merge allocates its sample array
+// once, at the summed length, instead of growing it append by append (a
+// growing merge keeps abandoned backing arrays live on large sweeps).
+func TestMergeProfilesPresized(t *testing.T) {
+	var profiles []*sampler.Profile
+	for pid, n := range []int{3, 5, 7} {
+		pr := &sampler.Profile{
+			Pid:    pid + 1,
+			Hist:   make([]int64, 4),
+			Layout: []sampler.LayoutEntry{{Func: "main", Name: "x"}},
+		}
+		for i := 0; i < n; i++ {
+			pr.Samples = append(pr.Samples, sampler.Sample{Value: int64(i), Tick: int64(i), Link: -1})
+		}
+		profiles = append(profiles, pr)
+	}
+	merged := sampler.MergeProfiles(profiles)
+	if len(merged.Samples) != 15 {
+		t.Fatalf("merged %d samples, want 15", len(merged.Samples))
+	}
+	if cap(merged.Samples) != len(merged.Samples) {
+		t.Errorf("merged samples cap %d != len %d: not allocated once", cap(merged.Samples), len(merged.Samples))
+	}
+}
+
 func TestOverlapChains(t *testing.T) {
 	// Two locals plus a global are accessible at the same PCs; all three
 	// must be recorded at a single alarm via the link chain.

@@ -130,6 +130,15 @@ func MergeProfiles(profiles []*Profile) *Profile {
 		Interval: profiles[0].Interval,
 		Hist:     make([]int64, len(profiles[0].Hist)),
 	}
+	// One allocation for all samples: growing the slice by append keeps
+	// several abandoned backing arrays live while a large merge runs.
+	total := 0
+	for _, pr := range profiles {
+		total += len(pr.Samples)
+	}
+	if total > 0 {
+		out.Samples = make([]Sample, 0, total)
+	}
 	// Layouts may be identical across processes (same metadata); build a
 	// merged layout and remap sample indices.
 	layoutIdx := map[string]int32{}

@@ -2,12 +2,13 @@ package vm_test
 
 // Differential execution: every program in the repo (testdata DSL files
 // plus all 18 bug workloads, buggy and patched variants) runs on the
-// tree-walking and register engines under a matrix of profiling
-// configurations, and every observable — results, globals, outputs, tick
-// and blocked-tick accounting, instruction counts, runtime errors,
-// branch/return events, and full alarm-time snapshots (PC, stack,
-// slots, globals) — must match exactly. This is the correctness gate for
-// the register engine's batched tick accounting.
+// reference tree walker (oracle_test.go) and on production execution (the
+// register engine) under a matrix of profiling configurations, and every
+// observable — results, globals, outputs, tick and blocked-tick
+// accounting, instruction counts, runtime errors, branch/return events,
+// and full alarm-time snapshots (PC, stack, slots, globals) — must match
+// exactly. This is the correctness gate for the register engine's batched
+// tick accounting.
 
 import (
 	"errors"
@@ -126,7 +127,7 @@ func snapshot(v *vm.VM, kind string, blocked bool) alarmSnap {
 	return s
 }
 
-// diffCase is one profiling configuration both engines run under.
+// diffCase is one profiling configuration both interpreters run under.
 type diffCase struct {
 	name string
 	mk   func(p *compiler.Program) vm.Config
@@ -188,13 +189,16 @@ func diffCases() []diffCase {
 	}
 }
 
-// runTraced executes the program's whole process tree on one engine and
+// processRunner runs a program's whole process tree: vm.RunProcesses in
+// production, vm.RunProcessesOracle on the reference tree walker.
+type processRunner func(*compiler.Program, func(pid int) vm.Config) []vm.Process
+
+// runTraced executes the program's whole process tree with run and
 // captures a full observable trace per process.
-func runTraced(p *compiler.Program, c diffCase, inputs []int64, seed uint64, engine string) []procTrace {
+func runTraced(p *compiler.Program, c diffCase, inputs []int64, seed uint64, run processRunner) []procTrace {
 	var traces []*procTrace
-	procs := vm.RunProcesses(p, func(pid int) vm.Config {
+	procs := run(p, func(pid int) vm.Config {
 		cfg := c.mk(p)
-		cfg.Engine = engine
 		cfg.Inputs = inputs
 		cfg.Seed = seed + uint64(pid)
 		tr := &procTrace{}
@@ -252,21 +256,21 @@ func runTraced(p *compiler.Program, c diffCase, inputs []int64, seed uint64, eng
 		tr.Children = len(pr.VM.Children)
 		out[i] = *tr
 	}
-	// Recycling here hands each engine run the other's dirty arena, so the
-	// whole differential matrix (and the fuzzer built on it) doubles as a
-	// stale-arena equivalence check.
+	// Recycling here hands each run the other interpreter's dirty arena, so
+	// the whole differential matrix (and the fuzzer built on it) doubles as
+	// a stale-arena equivalence check.
 	vm.RecycleProcesses(procs)
 	return out
 }
 
-// diffProgram asserts tree and register traces match for every case.
+// diffProgram asserts oracle and production traces match for every case.
 func diffProgram(t *testing.T, name string, p *compiler.Program, inputs []int64, seed uint64) {
 	t.Helper()
 	for _, c := range diffCases() {
-		tree := runTraced(p, c, inputs, seed, vm.EngineTree)
-		reg := runTraced(p, c, inputs, seed, vm.EngineRegister)
+		tree := runTraced(p, c, inputs, seed, vm.RunProcessesOracle)
+		reg := runTraced(p, c, inputs, seed, vm.RunProcesses)
 		if !reflect.DeepEqual(tree, reg) {
-			t.Errorf("%s/%s: engine divergence", name, c.name)
+			t.Errorf("%s/%s: oracle divergence", name, c.name)
 			reportDiff(t, tree, reg)
 		}
 	}
@@ -384,10 +388,10 @@ func TestDiffExecBugConfigs(t *testing.T) {
 						}
 						return out
 					}
-					tree := runTraced(p, base, cfg.Inputs, cfg.Seed, vm.EngineTree)
-					reg := runTraced(p, base, cfg.Inputs, cfg.Seed, vm.EngineRegister)
+					tree := runTraced(p, base, cfg.Inputs, cfg.Seed, vm.RunProcessesOracle)
+					reg := runTraced(p, base, cfg.Inputs, cfg.Seed, vm.RunProcesses)
 					if !reflect.DeepEqual(tree, reg) {
-						t.Errorf("%s/%s: engine divergence", w.ID, c.name)
+						t.Errorf("%s/%s: oracle divergence", w.ID, c.name)
 						reportDiff(t, tree, reg)
 					}
 				}

@@ -1,10 +1,10 @@
 package vm_test
 
 // FuzzDiffExec mutates DSL program sources and runs every program that
-// parses and compiles on both execution engines, asserting the full
-// observable trace (result, globals, ticks, blocked ticks, instruction
-// counts, runtime errors, and alarm firing PCs with stack snapshots)
-// matches. The seed corpus is the repo's own programs — testdata files
+// parses and compiles on the reference tree walker and on production
+// execution, asserting the full observable trace (result, globals, ticks,
+// blocked ticks, instruction counts, runtime errors, and alarm firing PCs
+// with stack snapshots) matches. The seed corpus is the repo's own programs — testdata files
 // and all 18 bug workloads — plus checked-in regression seeds under
 // testdata/fuzz/FuzzDiffExec exercising traps, spawn, blocking and
 // recursion.
@@ -65,11 +65,11 @@ func FuzzDiffExec(f *testing.F) {
 			t.Skip()
 		}
 		for _, c := range cases {
-			tree := runTraced(p, c, []int64{3, 5, 8}, 99, vm.EngineTree)
-			reg := runTraced(p, c, []int64{3, 5, 8}, 99, vm.EngineRegister)
+			tree := runTraced(p, c, []int64{3, 5, 8}, 99, vm.RunProcessesOracle)
+			reg := runTraced(p, c, []int64{3, 5, 8}, 99, vm.RunProcesses)
 			if !reflect.DeepEqual(tree, reg) {
 				reportDiff(t, tree, reg)
-				t.Fatalf("engine divergence under %s:\n%s", c.name, src)
+				t.Fatalf("oracle divergence under %s:\n%s", c.name, src)
 			}
 		}
 	})

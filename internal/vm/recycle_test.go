@@ -7,7 +7,7 @@ import (
 	"vprof/internal/vm"
 )
 
-// recycleSrc exercises both engines' arena paths: recursion deep enough to
+// recycleSrc exercises both interpreters' arena paths: recursion deep enough to
 // grow the frame array, scratch-register pressure from nested expressions,
 // and rand() so runs are seed-sensitive.
 const recycleSrc = `
@@ -26,18 +26,19 @@ func main() {
 // TestRecycleDeterminism pins the pool's contract: a VM built from a
 // recycled arena (stale registers, high-water-marked frame array) runs
 // bit-for-bit identically to one built from fresh allocations, on both
-// engines, across differing seeds.
+// interpreters, across differing seeds.
 func TestRecycleDeterminism(t *testing.T) {
 	p := compile(t, recycleSrc)
-	for _, engine := range []string{vm.EngineTree, vm.EngineRegister} {
-		t.Run(engine, func(t *testing.T) {
+	for _, in := range vm.Interpreters {
+		in := in
+		t.Run(in.Name, func(t *testing.T) {
 			type run struct {
 				outputs string
 				ticks   int64
 			}
 			exec := func(seed uint64, recycle bool) run {
-				m := vm.New(p, vm.Config{Seed: seed, Engine: engine})
-				if err := m.Run(); err != nil {
+				m := vm.New(p, vm.Config{Seed: seed})
+				if err := in.Run(m); err != nil {
 					t.Fatal(err)
 				}
 				r := run{outputs: fmt.Sprint(m.Outputs), ticks: m.Ticks()}

@@ -1,8 +1,9 @@
 package vm
 
-// The register engine: executes compiler.RegProgram code over flat arena
-// frames. It must be observationally indistinguishable from the tree
-// walker in vm.go — every exported accessor, callback, counter, error and
+// The register engine, the VM's only interpreter: executes
+// compiler.RegProgram code over flat arena frames. It must be
+// observationally indistinguishable from the reference tree walker in
+// oracle_test.go — every exported accessor, callback, counter, error and
 // alarm-time snapshot matches tick for tick (see the determinism contract
 // in compiler/reg.go and DESIGN.md §11). The differential suite in
 // diff_test.go and FuzzDiffExec enforce this.
@@ -132,7 +133,7 @@ func (vm *VM) growRegs(rp *compiler.RegProgram, need int) {
 // on the register engine. Globals must already be initialized by the
 // caller (Run / RunFunc).
 func (vm *VM) runRegister(rootFunc int, args []Value) error {
-	rp, err := regProgramFor(vm.prog)
+	rp, err := vm.prog.Lowered()
 	if err != nil {
 		return err
 	}
@@ -160,8 +161,6 @@ func (vm *VM) runRegister(rootFunc int, args []Value) error {
 	if vm.marked(rootFunc) {
 		vm.markedDepth = 1
 	}
-	vm.halted = false
-
 	funcs := rp.Funcs
 	rootRF := &funcs[rootFunc]
 	vm.growRegs(rp, int(rootRF.FrameSize))
@@ -304,7 +303,6 @@ func (vm *VM) runRegister(rootFunc int, args []Value) error {
 			f.funcIndex = callee
 			f.retPC = int(op.XPC)
 			f.slots = vm.regs[nb : nb+crf.NumSlots]
-			f.stack = nil
 			f.base = nb
 			f.rret = rpc + 1
 			f.rres = op.D
@@ -442,7 +440,6 @@ func (vm *VM) runRegister(rootFunc int, args []Value) error {
 			vm.frames = vm.frames[:nf]
 			if nf == 0 {
 				vm.result = v
-				vm.halted = true
 				vm.pc = int(op.XPC)
 				vm.ticks, vm.InstrCount = ticks, instr
 				return nil
@@ -454,7 +451,6 @@ func (vm *VM) runRegister(rootFunc int, args []Value) error {
 			regs[base+rres] = v
 			rpc = rret
 		case compiler.RHalt:
-			vm.halted = true
 			vm.pc = int(op.XPC)
 			vm.ticks, vm.InstrCount = ticks, instr
 			return nil

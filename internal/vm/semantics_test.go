@@ -4,7 +4,7 @@ package vm
 // reproduce exactly — gaps found while building the differential
 // harness: fractional-carry accumulation in rescale, Interrupt landing
 // in the middle of a blocked-tick charge, and FrameView.Slot bounds
-// behavior.
+// behavior. Each execution check runs on both Interpreters.
 
 import (
 	"errors"
@@ -27,8 +27,6 @@ func mustCompile(t *testing.T, src string) *compiler.Program {
 	return p
 }
 
-var engines = []string{EngineTree, EngineRegister}
-
 // TestRescaleCarry pins the fractional-carry contract: repeated small
 // charges accrue to factor*n exactly instead of truncating to zero, the
 // carry stays in [0,1) for positive factors, and negative outputs clamp
@@ -47,7 +45,7 @@ func TestRescaleCarry(t *testing.T) {
 		// Ten accumulations of float64(0.1) land just below 1.0 — the
 		// tenth unit tick is still swallowed and the carry sits at
 		// 0.9999999999999999. This is the pinned IEEE-754 behavior both
-		// engines share (the register engine falls back to per-tick
+		// interpreters share (the register engine falls back to per-tick
 		// charging whenever a scale hook is active, so the carry
 		// sequence is bit-identical).
 		{"tenth-unit", 0.1, []int64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1},
@@ -90,14 +88,13 @@ func TestRescaleCarry(t *testing.T) {
 // run stops at the next instruction boundary.
 func TestInterruptDuringBlockedCharge(t *testing.T) {
 	src := `func main() { work(5); block(100); out(1); }`
-	for _, eng := range engines {
-		eng := eng
-		t.Run(eng, func(t *testing.T) {
+	for _, in := range Interpreters {
+		in := in
+		t.Run(in.Name, func(t *testing.T) {
 			p := mustCompile(t, src)
 			var fires []int64
 			var m *VM
 			m = New(p, Config{
-				Engine:            eng,
 				WallAlarmInterval: 30,
 				OnWallAlarm: func(v *VM, blocked bool) {
 					fires = append(fires, v.WallTicks())
@@ -109,7 +106,7 @@ func TestInterruptDuringBlockedCharge(t *testing.T) {
 					}
 				},
 			})
-			err := m.Run()
+			err := in.Run(m)
 			if !errors.Is(err, ErrInterrupted) {
 				t.Fatalf("err = %v, want ErrInterrupted", err)
 			}
@@ -132,19 +129,18 @@ func TestInterruptDuringBlockedCharge(t *testing.T) {
 }
 
 // TestFrameViewSlotBounds pins that out-of-range Slot reads — a profiler
-// reading a garbage register — return the zero Value on both engines,
+// reading a garbage register — return the zero Value on both interpreters,
 // and in-range reads see the live slot values at alarm time.
 func TestFrameViewSlotBounds(t *testing.T) {
 	src := `
 func leaf(a, b) { var c = a * 10 + b; work(50); return c; }
 func main() { out(leaf(3, 4)); }`
-	for _, eng := range engines {
-		eng := eng
-		t.Run(eng, func(t *testing.T) {
+	for _, in := range Interpreters {
+		in := in
+		t.Run(in.Name, func(t *testing.T) {
 			p := mustCompile(t, src)
 			checked := false
 			m := New(p, Config{
-				Engine:        eng,
 				AlarmInterval: 30,
 				OnAlarm: func(v *VM) {
 					fr, ok := v.Frame(0)
@@ -173,7 +169,7 @@ func main() { out(leaf(3, 4)); }`
 					}
 				},
 			})
-			if err := m.Run(); err != nil {
+			if err := in.Run(m); err != nil {
 				t.Fatal(err)
 			}
 			if !checked {
