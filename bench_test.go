@@ -364,6 +364,10 @@ func BenchmarkProfilerInit(b *testing.B) {
 	}
 }
 
+// BenchmarkADKSample times the test on two samples of 500 observations
+// (37 and 41 distinct values). The pooled size is the same on every
+// iteration, so the Scholz & Stephens variance terms never change;
+// BenchmarkADKSampleLargeN times them at a new pooled size each iteration.
 func BenchmarkADKSample(b *testing.B) {
 	x := make([]float64, 500)
 	y := make([]float64, 500)
@@ -374,6 +378,36 @@ func BenchmarkADKSample(b *testing.B) {
 	xm, ym := stats.Tally(x), stats.Tally(y)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if _, err := stats.ADKSample(xm, ym); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// adLargeNCalls counts BenchmarkADKSampleLargeN's calls across all its runs
+// in the process, so no two calls share a pooled size.
+var adLargeNCalls int64
+
+// BenchmarkADKSampleLargeN times the test at the largest pooled size of a
+// Table 3 diagnosis, N=22191 (two samples of about 11k observations), and
+// adds one observation per call so each call meets a pooled size the process
+// has not seen before.
+func BenchmarkADKSampleLargeN(b *testing.B) {
+	x := make([]float64, 11095)
+	y := make([]float64, 11096)
+	for i := range x {
+		x[i] = float64(i % 37)
+	}
+	for i := range y {
+		y[i] = float64((i*7 + 3) % 41)
+	}
+	xm, ym := stats.Tally(x), stats.Tally(y)
+	last := &ym[len(ym)-1]
+	base := last.N
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		last.N = base + adLargeNCalls
+		adLargeNCalls++
 		if _, err := stats.ADKSample(xm, ym); err != nil {
 			b.Fatal(err)
 		}

@@ -149,64 +149,53 @@ func ADKSample(samples ...Multiset) (ADResult, error) {
 	}
 	a2akN *= (fN - 1) / fN
 
-	// Variance of the statistic under the null (Scholz & Stephens eq. 7).
-	var H float64
-	for _, ni := range n {
-		H += 1 / float64(ni)
-	}
-	h, g := harmonicTerms(N)
-	fk := float64(k)
-	a := (4*g-6)*(fk-1) + (10-6*g)*H
-	b := (2*g-4)*fk*fk + 8*h*fk + (2*g-14*h-4)*H - 8*h + 4*g - 6
-	c := (6*h+2*g-2)*fk*fk + (4*h-4*g+6)*fk + (2*h-6)*H + 4*h
-	d := (2*h+6)*fk*fk - 4*h*fk
-	sigmaSq := (a*fN*fN*fN + b*fN*fN + c*fN + d) /
-		((fN - 1) * (fN - 2) * (fN - 3))
+	sigmaSq := adVariance(n)
 	if sigmaSq <= 0 {
 		return ADResult{}, ErrDegenerate
 	}
-	m := fk - 1
+	m := float64(k - 1)
 	stat := (a2akN - m) / math.Sqrt(sigmaSq)
 
 	return ADResult{A2akN: a2akN, Stat: stat, P: adPValue(stat, m)}, nil
 }
 
-// harmonicTerms returns the h and g terms of the Scholz & Stephens variance
-// formula for a pooled size of N. g is quadratic in N to compute and both
-// depend on nothing but N, while the analysis pipeline calls ADKSample with
-// the same handful of sample sizes thousands of times per table run — so the
-// terms are memoized. The cached values are produced by exactly the
-// summation loops (and summation order) of the direct computation, so
-// memoization cannot perturb a single bit of any result.
-func harmonicTerms(N int) (h, g float64) {
-	harmonicMu.Lock()
-	defer harmonicMu.Unlock()
-	if t, ok := harmonicCache[N]; ok {
-		return t[0], t[1]
+// adVariance returns the variance of the k-sample statistic under the null
+// for samples of sizes n (Scholz & Stephens eq. 7), which must pool at least
+// four observations. It costs O(len(n) + N), N the pooled size, and touches
+// no shared state.
+func adVariance(n []int) float64 {
+	N := 0
+	var H float64
+	for _, ni := range n {
+		N += ni
+		H += 1 / float64(ni)
 	}
-	for i := 1; i < N; i++ {
-		h += 1 / float64(i)
-	}
-	for i := 1; i <= N-2; i++ {
-		for j := i + 1; j <= N-1; j++ {
-			g += 1 / (float64(N-i) * float64(j))
-		}
-	}
-	if len(harmonicCache) >= harmonicCacheCap {
-		// Unbounded growth guard; distinct Ns per process are few, so
-		// resetting (rather than evicting) keeps the code trivial.
-		harmonicCache = make(map[int][2]float64, harmonicCacheCap)
-	}
-	harmonicCache[N] = [2]float64{h, g}
-	return h, g
+	h, g := harmonicTerms(N)
+	fN, fk := float64(N), float64(len(n))
+	a := (4*g-6)*(fk-1) + (10-6*g)*H
+	b := (2*g-4)*fk*fk + 8*h*fk + (2*g-14*h-4)*H - 8*h + 4*g - 6
+	c := (6*h+2*g-2)*fk*fk + (4*h-4*g+6)*fk + (2*h-6)*H + 4*h
+	d := (2*h+6)*fk*fk - 4*h*fk
+	return (a*fN*fN*fN + b*fN*fN + c*fN + d) /
+		((fN - 1) * (fN - 2) * (fN - 3))
 }
 
-const harmonicCacheCap = 1 << 14
-
-var (
-	harmonicMu    sync.Mutex
-	harmonicCache = map[int][2]float64{}
-)
+// harmonicTerms returns the h and g terms of the Scholz & Stephens variance
+// formula for a pooled size of N >= 2:
+//
+//	h = sum_{i=1}^{N-1} 1/i
+//	g = sum_{i=1}^{N-2} sum_{j=i+1}^{N-1} 1/((N-i) j)
+//
+// One backward pass computes both: the inner sum of g is the suffix sum of
+// 1/j, so g costs O(N) instead of O(N^2). It is a pure function of N.
+func harmonicTerms(N int) (h, g float64) {
+	var suf float64 // sum_{j=i+1}^{N-1} 1/j
+	for i := N - 2; i >= 1; i-- {
+		suf += 1 / float64(i+1)
+		g += suf / float64(N-i)
+	}
+	return suf + 1, g
+}
 
 // Interpolation tables from Scholz & Stephens (1987), Table 2, as used by
 // SciPy: critical values at the listed significance levels are approximated

@@ -94,6 +94,9 @@ func adkSampleOracle(samples ...[]float64) (ADResult, error) {
 	}
 	a2akN *= (fN - 1) / fN
 
+	// Eq. 7 spelled out with the same operation order as adVariance. The
+	// harmonic terms are shared with production: they depend on N alone,
+	// and TestHarmonicTermsExact checks them against exact values.
 	var H float64
 	for _, ni := range n {
 		H += 1 / float64(ni)
