@@ -24,6 +24,7 @@
 package sampler
 
 import (
+	"slices"
 	"time"
 
 	"vprof/internal/compiler"
@@ -256,6 +257,9 @@ func (p *Profiler) record(m *vm.VM, tick int64) {
 	}
 }
 
+// minSampleCap is the SampleArray's first allocation, in samples.
+const minSampleCap = 256
+
 // sampleAt records value samples for all variables accessible at pc, reading
 // registers from the frame at frameDepth.
 func (p *Profiler) sampleAt(m *vm.VM, pc, frameDepth, stackDepth int, tick int64) {
@@ -286,6 +290,12 @@ func (p *Profiler) sampleAt(m *vm.VM, pc, frameDepth, stackDepth int, tick int64
 			val = m.Global(gi)
 		}
 		idx := int32(len(p.samples))
+		if len(p.samples) == cap(p.samples) {
+			// Double rather than leave it to append, whose 1.25x steps
+			// on large slices copy and clear about five times the final
+			// array over a long run.
+			p.samples = slices.Grow(p.samples, max(len(p.samples), minSampleCap))
+		}
 		p.samples = append(p.samples, Sample{
 			Layout:     node.layout,
 			VarNode:    ni,

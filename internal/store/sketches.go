@@ -124,30 +124,35 @@ func (s *Store) createSketchLog(path string) (err error) {
 	return s.fsys.Rename(tmp, path)
 }
 
-// appendSketchLocked folds a profile into a sketch and appends its frame.
-// Best-effort: sketches are derived data, so any failure only truncates the
-// partial frame away and reports the error — the caller must not fail the
-// push over it.
-func (s *Store) appendSketchLocked(id string, p *sampler.Profile) error {
-	if s.sketchLog == nil {
-		return errors.New("store: sketch log not open")
-	}
-	if _, ok := s.sketchIdx[id]; ok {
-		return nil
-	}
+// sketchFrame folds a profile into its sketch and frames the sketch's
+// encoding for the log. It reads no store state, so callers run it before
+// taking the store lock and readers never wait on the fold.
+func sketchFrame(id string, p *sampler.Profile) (*sketch.Profile, []byte, error) {
 	sk := sketch.FromProfile(p)
 	sk.BlobID = id
 	payload, err := profilefmt.MarshalSketch(sk)
 	if err != nil {
-		return err
+		return sk, nil, err
 	}
 	if len(payload) > maxSketchFrame {
-		return fmt.Errorf("store: sketch frame %d bytes exceeds bound", len(payload))
+		return sk, nil, fmt.Errorf("store: sketch frame %d bytes exceeds bound", len(payload))
 	}
 	frame := make([]byte, sketchFrameHdr+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
 	copy(frame[sketchFrameHdr:], payload)
+	return sk, frame, nil
+}
+
+// appendSketchLocked appends a frame built by sketchFrame to the log and
+// syncs it (wmu held); indexSketchLocked then makes it visible. Best-effort:
+// sketches are derived data, so any failure only truncates the partial
+// frame away and reports the error — the caller must not fail the push over
+// it.
+func (s *Store) appendSketchLocked(frame []byte) (sketchRef, error) {
+	if s.sketchLog == nil {
+		return sketchRef{}, errors.New("store: sketch log not open")
+	}
 	start := s.sketchLogSize
 	if n, err := s.sketchLog.Write(frame); err != nil || n != len(frame) {
 		if terr := s.sketchLog.Truncate(start); terr == nil {
@@ -156,21 +161,25 @@ func (s *Store) appendSketchLocked(id string, p *sampler.Profile) error {
 		if err == nil {
 			err = fmt.Errorf("store: short sketch write")
 		}
-		return err
+		return sketchRef{}, err
 	}
 	if !s.opts.NoSync {
 		if err := s.sketchLog.Sync(); err != nil {
 			if terr := s.sketchLog.Truncate(start); terr == nil {
 				s.sketchLogSize = start
 			}
-			return err
+			return sketchRef{}, err
 		}
 	}
 	s.sketchLogSize = start + int64(len(frame))
-	s.sketchIdx[id] = sketchRef{offset: start + sketchFrameHdr, size: int64(len(payload))}
+	return sketchRef{offset: start + sketchFrameHdr, size: int64(len(frame) - sketchFrameHdr)}, nil
+}
+
+// indexSketchLocked publishes an appended sketch to readers (mu held).
+func (s *Store) indexSketchLocked(id string, ref sketchRef, sk *sketch.Profile) {
+	s.sketchIdx[id] = ref
 	s.sketchCacheAddLocked(id, sk)
 	s.m.sketchWrites.Inc()
-	return nil
 }
 
 func (s *Store) sketchCacheAddLocked(id string, sk *sketch.Profile) {
@@ -240,21 +249,33 @@ func (s *Store) rebuildSketch(id string) (*sketch.Profile, error) {
 	if err != nil {
 		return nil, err
 	}
+	sk, frame, err := sketchFrame(id, p)
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sk, ok := s.sketchCache[id]; ok { // raced with another rebuild
-		return sk, nil
+	if cached, ok := s.sketchCache[id]; ok { // raced with another rebuild
+		s.mu.Unlock()
+		return cached, nil
 	}
 	s.sketchRebuilt++
 	s.m.sketchRebuilds.Inc()
-	if err := s.appendSketchLocked(id, p); err != nil {
-		// Persisting is best-effort; still serve the folded sketch.
-		sk := sketch.FromProfile(p)
-		sk.BlobID = id
-		s.sketchCacheAddLocked(id, sk)
-		return sk, nil
+	// An indexed frame that no longer decodes is not appended twice.
+	_, indexed := s.sketchIdx[id]
+	s.mu.Unlock()
+	var ref sketchRef
+	if err == nil && !indexed {
+		ref, err = s.appendSketchLocked(frame)
 	}
-	return s.sketchCache[id], nil
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err == nil && !indexed {
+		s.indexSketchLocked(id, ref, sk)
+	} else {
+		// Persisting is best-effort; still serve the folded sketch.
+		s.sketchCacheAddLocked(id, sk)
+	}
+	return sk, nil
 }
 
 // SketchStats reports sketch cache and rebuild counters.

@@ -176,6 +176,13 @@ type Store struct {
 	opts Options
 	fsys faultfs.FS
 
+	// wmu serializes writers and guards the append side: the manifest,
+	// segment and sketch-log handles, their sizes, segID and broken.
+	// Appends and their fsyncs run under wmu alone; mu is taken only to
+	// publish what an append made durable, so readers never wait on the
+	// disk. Lock order: wmu, then mu.
+	wmu sync.Mutex
+	// mu guards the in-memory index, the read handles and the caches.
 	mu           sync.RWMutex
 	blobs        map[string]blobRef  // content hash → location
 	entries      map[string]*Entry   // entry key (workload|label|run) → entry
@@ -504,21 +511,31 @@ func (s *Store) PutBlob(workload string, label Label, run string, blob []byte) (
 	}
 	sum := sha256.Sum256(blob)
 	id := hex.EncodeToString(sum[:])
+	sk, frame, skErr := sketchFrame(id, p)
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if s.broken != nil {
 		return nil, false, fmt.Errorf("store: refusing writes after unrecoverable rollback failure: %w", s.broken)
 	}
 	key := entryKey(workload, label, run)
+	// Only writers change the index, and they hold wmu, so what this
+	// snapshot says stays true until the publish below.
+	s.mu.RLock()
+	var dup *Entry
 	if old, ok := s.entries[key]; ok && old.ID == id {
-		s.m.dedupHits.Inc()
 		cp := *old
-		return &cp, true, nil
+		dup = &cp
 	}
-	ref, ok := s.blobs[id]
+	ref, stored := s.blobs[id]
+	_, sketched := s.sketchIdx[id]
+	s.mu.RUnlock()
+	if dup != nil {
+		s.m.dedupHits.Inc()
+		return dup, true, nil
+	}
 	fresh := false
-	if !ok {
+	if !stored {
 		ref, err = s.appendBlobLocked(blob)
 		if err != nil {
 			return nil, false, err
@@ -532,27 +549,39 @@ func (s *Store) PutBlob(workload string, label Label, run string, blob []byte) (
 	if err := s.appendManifestLocked(e, ref, fresh); err != nil {
 		return nil, false, err
 	}
+	// Persist the blob's sketch, folded before any lock was taken, so
+	// incremental diagnoses never re-decode it. Sketches are derived data:
+	// a fold or append failure is absorbed (GetSketch rebuilds on demand),
+	// never failing an acknowledged push.
+	var skRef sketchRef
+	persisted := false
+	if skErr == nil && !sketched {
+		var err error
+		skRef, err = s.appendSketchLocked(frame)
+		persisted = err == nil
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.indexLocked(e, ref)
 	s.cacheAddLocked(id, p)
-	// Fold and persist the blob's sketch so incremental diagnoses never
-	// re-decode it. Sketches are derived data: an append failure is
-	// absorbed (GetSketch rebuilds on demand), never failing an
-	// acknowledged push.
-	_ = s.appendSketchLocked(id, p)
+	if persisted {
+		s.indexSketchLocked(id, skRef, sk)
+	}
 	cp := *s.entries[key]
 	return &cp, false, nil
 }
 
-// appendManifestLocked writes and fsyncs one manifest record. On any
-// failure the partial record — and, when the blob was freshly appended for
-// this push, the blob frame itself — is rolled back, so an error leaves the
-// files byte-identical to before the call.
+// appendManifestLocked writes and fsyncs one manifest record (wmu held).
+// On any failure the partial record — and, when the blob was freshly
+// appended for this push, the blob frame itself — is rolled back, so an
+// error leaves the files byte-identical to before the call. Nothing was
+// published to the index yet, so readers never saw the rolled-back blob.
 func (s *Store) appendManifestLocked(e *Entry, ref blobRef, freshBlob bool) error {
 	rollback := func() {
 		s.truncateManifestLocked(s.manifestSize)
 		if freshBlob {
 			s.truncateSegmentLocked(ref.offset - frameHeaderSize)
-			delete(s.blobs, e.ID)
 		}
 	}
 	line := formatManifestLine(e, ref)
@@ -602,7 +631,8 @@ func (s *Store) Put(workload string, label Label, run string, p *sampler.Profile
 }
 
 // appendBlobLocked frames a blob (size + CRC32C header) onto the active
-// segment and fsyncs it before the manifest may reference it. Every error
+// segment and fsyncs it before the manifest may reference it (wmu held,
+// as for every *Locked helper of the append side). Every error
 // path truncates the partial frame away, so a failed append leaves no
 // garbage behind.
 func (s *Store) appendBlobLocked(blob []byte) (blobRef, error) {
@@ -887,8 +917,8 @@ func (s *Store) CacheStats() CacheStats {
 // graceful shutdown. With the default options every acknowledged push is
 // already durable; Flush covers NoSync stores and belt-and-braces drains.
 func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if s.manifest == nil || s.seg == nil {
 		return errors.New("store: closed")
 	}
@@ -910,8 +940,8 @@ func (s *Store) Flush() error {
 // manifest syncs, and the directory is still present. It is the substance
 // behind the service's /healthz check.
 func (s *Store) Health() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if s.manifest == nil || s.seg == nil {
 		return errors.New("store: closed")
 	}
@@ -929,6 +959,8 @@ func (s *Store) Health() error {
 
 // Close releases file handles. The store must not be used afterwards.
 func (s *Store) Close() error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var first error

@@ -2,11 +2,15 @@ package store_test
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"vprof/internal/faultfs"
 	"vprof/internal/profilefmt"
 	"vprof/internal/sampler"
 	"vprof/internal/store"
@@ -316,6 +320,92 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	if total != writers*perWriter {
 		t.Fatalf("stored %d entries, want %d", total, writers*perWriter)
+	}
+}
+
+// gatedFS holds the first Sync issued after arm until release is closed,
+// standing in for a slow disk.
+type gatedFS struct {
+	faultfs.FS
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+type gatedFile struct {
+	faultfs.File
+	fs *gatedFS
+}
+
+func (g *gatedFS) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return gatedFile{f, g}, nil
+}
+
+func (f gatedFile) Sync() error {
+	if f.fs.armed.CompareAndSwap(true, false) {
+		close(f.fs.entered)
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+// TestReadsDoNotWaitForSync holds a push inside its segment fsync and
+// checks that every read path still answers: a slow disk delays only the
+// push that waits for it, never the diagnoses reading the store.
+func TestReadsDoNotWaitForSync(t *testing.T) {
+	g := &gatedFS{FS: faultfs.NewOS(), entered: make(chan struct{}), release: make(chan struct{})}
+	s, err := store.Open(t.TempDir(), store.Options{FS: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	base, _, err := s.Put("wl", store.LabelNormal, "r0", testProfile(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	g.armed.Store(true)
+	pushed := make(chan error, 1)
+	go func() {
+		_, _, err := s.Put("wl", store.LabelCandidate, "c1", testProfile(2))
+		pushed <- err
+	}()
+	<-g.entered
+
+	reads := make(chan error, 1)
+	go func() {
+		_, err := s.Get(base.ID)
+		if err == nil {
+			_, err = s.GetSketch(base.ID)
+		}
+		if err == nil && (len(s.Baselines("wl")) != 1 || len(s.Workloads()) != 1) {
+			err = fmt.Errorf("index changed while the push was in flight")
+		}
+		if _, ok := s.Lookup("wl", store.LabelCandidate, "c1"); err == nil && ok {
+			err = fmt.Errorf("candidate visible before its push was durable")
+		}
+		reads <- err
+	}()
+	select {
+	case err := <-reads:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(g.release)
+		t.Fatal("reads blocked behind a push's fsync")
+	}
+
+	close(g.release)
+	if err := <-pushed; err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Lookup("wl", store.LabelCandidate, "c1"); !ok {
+		t.Fatal("acknowledged push not indexed")
 	}
 }
 
